@@ -10,7 +10,7 @@ with the character the program wants.
 
 from .cmplog import CmpKey, ComparisonRecord
 from .corpus import Scenario, load_corpus, load_scenario
-from .coverage import CoverageMap, record_trace
+from .coverage import CoverageMap
 from .engine import Campaign, CampaignConfig, CampaignStats, run_campaign
 from .errors import (ConfigError, InconsistentBaseline, MalformedProgram,
                      ParseError, ScatterFuzzError, ScenarioValidationError)
@@ -27,8 +27,8 @@ __all__ = [
     "MalformedProgram", "MannWhitneyResult", "ParseError", "ScatterFuzzError",
     "Scenario", "ScenarioValidationError", "SolveResult", "SolveStatus",
     "TargetProgram", "colorize", "execute", "load_corpus", "load_scenario",
-    "mann_whitney_u", "naive_search", "record_trace", "run_campaign",
-    "solve", "solve_with_alignments",
+    "mann_whitney_u", "naive_search", "run_campaign", "solve",
+    "solve_with_alignments",
 ]
 
 __version__ = "1.0.0"

@@ -1,14 +1,15 @@
-"""String-comparison call-site detection and buffer snapshots.
+"""Comparison records and buffer snapshots.
 
 Every CALL whose two pointer arguments decode to one ROM and one RAM
 address is logged as a candidate string comparison, no matter which
 builtin was invoked.  False positives (e.g. printing a static string to
 a device structure) are allowed; the solver abandons them cheaply.
+Each record carries the builtin's own verdict, so "solved" means
+exactly what the firmware's comparison decided.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .program import MAX_STRLEN, RAM_BASE, ROM_BASE, TargetProgram
@@ -34,6 +35,7 @@ class ComparisonRecord:
     read_cursor: int
     observed_len: int
     ideal_len: int
+    satisfied: bool      # the builtin's verdict (see vm._State.call)
 
     @property
     def key(self):
@@ -48,26 +50,8 @@ class ComparisonRecord:
         return self.ideal[:self.ideal_len]
 
     def is_solved(self):
-        """True when observed equals ideal including terminator semantics."""
-        return (self.observed_len == self.ideal_len
-                and self.observed_str == self.ideal_str)
-
-
-def detect_comparison(call_site: int, arg0: int, arg1: int,
-                      program: TargetProgram):
-    """Classify a CALL's pointer arguments.
-
-    Returns ``("rom_ram", ideal_addr, observed_addr)`` iff exactly one
-    argument is a valid ROM address and the other a valid RAM address,
-    else ``("not_comparison", None, None)``.
-    """
-    a0_rom, a0_ram = program.in_rom(arg0), program.in_ram(arg0)
-    a1_rom, a1_ram = program.in_rom(arg1), program.in_ram(arg1)
-    if a0_rom and a1_ram:
-        return ("rom_ram", arg0, arg1)
-    if a1_rom and a0_ram:
-        return ("rom_ram", arg1, arg0)
-    return ("not_comparison", None, None)
+        """True when the builtin reported the comparison as satisfied."""
+        return self.satisfied
 
 
 def snapshot(program: TargetProgram, ram: bytearray, addr: int) -> bytes:
@@ -79,34 +63,9 @@ def snapshot(program: TargetProgram, ram: bytearray, addr: int) -> bytes:
     return bytes(ram[off:off + MAX_STRLEN])
 
 
-def get_observed(trace, key: CmpKey):
-    """Observed snapshot for the record at key, or None if not reached."""
-    rec = find_record(trace, key)
-    return rec.observed if rec is not None else None
-
-
-def get_read_bytes(trace, key: CmpKey):
-    """Input bytes read at comparison time for key, or None if not reached."""
-    rec = find_record(trace, key)
-    return rec.read_cursor if rec is not None else None
-
-
 def find_record(trace, key: CmpKey):
     for rec in trace.comparisons:
         if rec.cmp_id == key.cmp_id and rec.hit_index == key.hit_index:
             return rec
     return None
 
-
-def dump_records(trace, fp):
-    """Write one JSON line per comparison record (hex-encoded buffers)."""
-    for rec in trace.comparisons:
-        fp.write(json.dumps({
-            "cmp_id": rec.cmp_id,
-            "hit_index": rec.hit_index,
-            "observed": rec.observed.hex(),
-            "ideal": rec.ideal.hex(),
-            "read_cursor": rec.read_cursor,
-            "observed_len": rec.observed_len,
-            "ideal_len": rec.ideal_len,
-        }) + "\n")

@@ -110,12 +110,15 @@ def load_corpus(corpus_dir=None) -> list[Scenario]:
 
 
 def load_scenario(name_or_path, corpus_dir=None) -> Scenario:
-    """Load one scenario by bundled name or by .s file path."""
+    """Load one scenario by bundled name or by .s file path.
+
+    An ad-hoc .s file has no manifest entry, so its category is empty.
+    """
     text = str(name_or_path)
     if text.endswith(".s") and Path(text).exists():
         path = Path(text)
         program = parse_scenario(path.read_text(), name=path.stem)
-        return Scenario(name=path.stem, category="no_strings",
+        return Scenario(name=path.stem, category="",
                         program=program, expected_strings=[],
                         source_path=str(path))
     for scenario in load_corpus(corpus_dir):

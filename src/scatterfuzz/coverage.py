@@ -22,26 +22,18 @@ def strlen_bounded(buffer: bytes, max_len: int = MAX_STRLEN) -> int:
     return pos if pos >= 0 else min(len(buffer), max_len)
 
 
-@dataclass(frozen=True)
-class LengthObservation:
-    cmp_id: int
-    observed_len: int
-    ideal_len: int
-
-
-def length_feedback_bit(obs: LengthObservation):
-    """Bitmap index for an observed-length observation, or None.
+def length_feedback_bit(cmp_id: int, observed_len: int, ideal_len: int):
+    """Bitmap index for an observed length at a comparison site, or None.
 
     An observation qualifies when the observed length falls within the
     +/- LENGTH_WINDOW band around the ideal length (exact matches are
     always inside the band).
     """
-    if not (obs.ideal_len - LENGTH_WINDOW
-            <= obs.observed_len
-            <= obs.ideal_len + LENGTH_WINDOW):
+    if not (ideal_len - LENGTH_WINDOW <= observed_len
+            <= ideal_len + LENGTH_WINDOW):
         return None
-    h = (obs.cmp_id * 0x9E3779B1 + _LENGTH_SALT) & 0xFFFFFFFF
-    h ^= (obs.observed_len * 0xC2B2AE3D + 0x165667B1) & 0xFFFFFFFF
+    h = (cmp_id * 0x9E3779B1 + _LENGTH_SALT) & 0xFFFFFFFF
+    h ^= (observed_len * 0xC2B2AE3D + 0x165667B1) & 0xFFFFFFFF
     h = ((h ^ (h >> 13)) * 0x85EBCA77) & 0xFFFFFFFF
     h ^= h >> 11
     return h & (MAP_SIZE - 1)
@@ -86,17 +78,13 @@ class CoverageMap:
                 try:
                     idx = cache[ck]
                 except KeyError:
-                    idx = cache[ck] = length_feedback_bit(LengthObservation(
-                        rec.cmp_id, rec.observed_len, rec.ideal_len))
+                    idx = cache[ck] = length_feedback_bit(*ck)
                 if idx is not None and idx not in self._bits:
                     self._bits.add(idx)
                     new_len += 1
         n_edges = len(new_edges)
         return RecordResult(interesting=bool(n_edges or new_len),
                             new_edge_bits=n_edges, new_length_bits=new_len)
-
-    def merge(self, other: "CoverageMap"):
-        self._bits |= other._bits
 
     # -- serialization (raw 8 KiB bitmap) --------------------------------
 
@@ -117,7 +105,3 @@ class CoverageMap:
                 m._bits.add((i << 3) | low.bit_length() - 1)
                 byte ^= low
         return m
-
-
-def record_trace(cov_map: CoverageMap, trace, *, length_feedback=True):
-    return cov_map.record_trace(trace, length_feedback=length_feedback)

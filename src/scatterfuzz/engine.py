@@ -63,7 +63,6 @@ class CampaignConfig:
 @dataclass
 class QueueEntry:
     input: FuzzInput
-    trace_digest: int               # hash over the entry's edge set
     discovered_at: int              # execution counter at insertion
     entry_id: int
     via: str                        # "seed", "havoc", or "solver"
@@ -158,7 +157,6 @@ class Campaign:
 
     def _enqueue(self, data: bytes, via: str, edges) -> QueueEntry:
         entry = QueueEntry(input=FuzzInput(data, id=f"{len(self.queue):06d}"),
-                           trace_digest=_edge_digest(edges),
                            discovered_at=self.stats.executions,
                            entry_id=len(self.queue), via=via,
                            edges=frozenset(edges))
@@ -193,8 +191,7 @@ class Campaign:
         if not self.config.solver_enabled:
             return
         for rec in trace.comparisons:
-            if rec.is_solved():
-                continue
+            # _exec has already marked every satisfied comparison solved.
             if rec.cmp_id in self.stats.solved_comparisons:
                 continue
             if rec.key in entry.solver_done:

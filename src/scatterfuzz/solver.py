@@ -89,17 +89,10 @@ class _Runner:
                       "phase": phase, "execs": self.execs, **fields})
 
 
-def _matches(rec, ideal, offset):
-    """Record satisfies the comparison at the given alignment."""
-    return (rec is not None
-            and rec.observed_len == offset + len(ideal)
-            and rec.observed[offset:offset + len(ideal)] == ideal)
-
-
 def solve(program, base_input, key: CmpKey, ideal: bytes, observed: bytes,
           executor, *, exec_budget=None, offset=0,
           delimiters=DEFAULT_DELIMITERS, log=None) -> SolveResult:
-    """Map and replace the observed string's bytes so it equals ideal.
+    """Map ideal onto the observed string's bytes until the comparison passes.
 
     ``observed``/``ideal`` are the logical strings (no terminator) from a
     prior trace of ``base_input``.  ``offset`` aligns ideal onto the
@@ -127,7 +120,7 @@ def _solve_inner(base, key, ideal, observed, rn, offset, delimiters):
         raise InconsistentBaseline(
             f"cmp {key.cmp_id}/{key.hit_index} not reproducible from base input")
 
-    if _matches(rec, ideal, offset):
+    if rec.is_solved():
         return SolveResult(SolveStatus.SOLVED, executions_used=rn.execs,
                            solved_input=FuzzInput(base),
                            alignment_offset=offset)
@@ -147,9 +140,8 @@ def _solve_inner(base, key, ideal, observed, rn, offset, delimiters):
     while pos < limit:
         if pos - offset >= ideal_len:
             # Observed string is longer than ideal: contract it.
-            return _contract(working, key, ideal, observed, pos, rn,
-                             last_index, read_limit, mapped, delimiters,
-                             offset)
+            return _contract(working, key, observed, pos, rn, last_index,
+                             read_limit, mapped, delimiters, offset)
         target = ideal[pos - offset]
         want = observed[pos]
         found = False
@@ -179,7 +171,7 @@ def _solve_inner(base, key, ideal, observed, rn, offset, delimiters):
 
     # All targeted positions locked; the trace of the final working input
     # doubles as the verification execution (execution is deterministic).
-    if _matches(last_rec, ideal, offset):
+    if last_rec.is_solved():
         rn.event("map", i=None, j=None, outcome="solved")
         return SolveResult(SolveStatus.SOLVED, mapped=mapped,
                            executions_used=rn.execs,
@@ -190,7 +182,7 @@ def _solve_inner(base, key, ideal, observed, rn, offset, delimiters):
                        executions_used=rn.execs, alignment_offset=offset)
 
 
-def _contract(working, key, ideal, observed, pos, rn, last_index, read_limit,
+def _contract(working, key, observed, pos, rn, last_index, read_limit,
               mapped, delimiters, offset):
     """Shorten an over-long observed string with a token delimiter.
 
@@ -224,7 +216,7 @@ def _contract(working, key, ideal, observed, pos, rn, last_index, read_limit,
         working[located] = delim
         trace = rn.run(working)
         rec = find_record(trace, key)
-        if _matches(rec, ideal, offset):
+        if rec is not None and rec.is_solved():
             rn.event("contract", i=pos, j=located, outcome="solved")
             return SolveResult(SolveStatus.SOLVED,
                                mapped=mapped + [(pos, located)],
@@ -236,16 +228,6 @@ def _contract(working, key, ideal, observed, pos, rn, last_index, read_limit,
     return SolveResult(SolveStatus.CONTRACTION_TRIED, mapped=mapped,
                        executions_used=rn.execs, unmapped_index=pos,
                        alignment_offset=offset)
-
-
-def contract_string(program, base_input, key, ideal, observed, executor, *,
-                    delimiters=DEFAULT_DELIMITERS, exec_budget=None,
-                    log=None) -> SolveResult:
-    """Standalone entry to the contraction path (observed longer than ideal)."""
-    if len(observed) <= len(ideal):
-        raise ValueError("contraction needs an over-long observed string")
-    return solve(program, base_input, key, ideal, observed, executor,
-                 exec_budget=exec_budget, delimiters=delimiters, log=log)
 
 
 def solve_with_alignments(program, base_input, key, record, executor, *,
@@ -344,8 +326,7 @@ def naive_search(program, base_input, key, record, executor,
             execs += 1
             trace = executor(FuzzInput(data))
             rec = find_record(trace, key)
-            if (rec is not None and rec.observed_len == len(ideal)
-                    and rec.observed_str == ideal):
+            if rec is not None and rec.is_solved():
                 return NaiveSearchResult(SolveStatus.SOLVED, count,
                                          executions_used=execs,
                                          solved_input=FuzzInput(data))

@@ -67,8 +67,10 @@ class _State:
     # -- builtin call sites ----------------------------------------------
 
     def call(self, idx, builtin, a0, a1):
-        # Inline form of detect_comparison; this path is the hottest
-        # Python-level code in a campaign.
+        # The one ROM/RAM call-site classifier, inlined: this path is the
+        # hottest Python-level code in a campaign.  Records carry the
+        # builtin's own verdict as the only definition of "satisfied".
+        ret = self._builtin(builtin, a0, a1)
         prog = self.program
         a0_rom = self.rom_lo <= a0 < self.rom_hi
         a1_rom = self.rom_lo <= a1 < self.rom_hi
@@ -98,8 +100,10 @@ class _State:
                     cmp_id=idx, hit_index=h, observed=obs, ideal=idl,
                     read_cursor=self.cursor,
                     observed_len=strlen_bounded(obs),
-                    ideal_len=strlen_bounded(idl)))
-        return self._builtin(builtin, a0, a1)
+                    ideal_len=strlen_bounded(idl),
+                    satisfied=(ret != 0 if builtin == "STRSTR"
+                               else ret == 0 and builtin != "PRINT")))
+        return ret
 
     def _byte(self, addr):
         prog = self.program

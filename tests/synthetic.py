@@ -2,8 +2,10 @@
 
 Models the one property the search depends on: each observed-string
 byte is a copy of one fuzz-input byte at a fixed source position, and
-only bytes below the read cursor were consumed.  This keeps the
-brute-force oracle for solver equivalence small and exact.
+only bytes below the read cursor were consumed.  The record's verdict
+is the oracle's success rule: the observed string ends with ideal
+(exact at the head, or as a tail suffix).  This keeps the brute-force
+oracle for solver equivalence small and exact.
 """
 
 import itertools
@@ -36,12 +38,14 @@ def make_executor(inst: SyntheticInstance):
         data = fuzz_input.bytes
         observed = bytes(data[p] if p < len(data) else 0
                          for p in inst.sources) + b"\x00"
+        observed_len = strlen_bounded(observed)
         rec = ComparisonRecord(
             cmp_id=0, hit_index=0, observed=observed,
             ideal=inst.ideal + b"\x00",
             read_cursor=inst.read_cursor,
-            observed_len=strlen_bounded(observed),
-            ideal_len=len(inst.ideal))
+            observed_len=observed_len,
+            ideal_len=len(inst.ideal),
+            satisfied=observed[:observed_len].endswith(inst.ideal))
         return SyntheticTrace(comparisons=[rec])
     return executor
 

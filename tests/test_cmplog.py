@@ -1,26 +1,29 @@
-"""Comparison detection, record snapshots, hit indexing, caps."""
-
-import io
-import json
+"""Comparison detection, record snapshots, verdicts, hit indexing, caps."""
 
 from scatterfuzz import FuzzInput, execute
 from scatterfuzz.asm import parse_scenario
-from scatterfuzz.cmplog import (MAX_HITS_PER_SITE, CmpKey, detect_comparison,
-                                dump_records, find_record, get_observed,
-                                get_read_bytes)
-from scatterfuzz.program import RAM_BASE, ROM_BASE
+from scatterfuzz.cmplog import MAX_HITS_PER_SITE, CmpKey, find_record
+from scatterfuzz.corpus import label_to_cmp_id
 
 
-def test_detect_requires_one_rom_one_ram(corpus):
-    program = corpus["contract_ok"].program
-    rom = ROM_BASE
-    ram = RAM_BASE
-    assert detect_comparison(0, rom, ram, program)[0] == "rom_ram"
-    kind, ideal, observed = detect_comparison(0, ram, rom, program)
-    assert (kind, ideal, observed) == ("rom_ram", rom, ram)
-    assert detect_comparison(0, rom, rom, program)[0] == "not_comparison"
-    assert detect_comparison(0, ram, ram, program)[0] == "not_comparison"
-    assert detect_comparison(0, 5, ram, program)[0] == "not_comparison"
+def test_detect_requires_one_rom_one_ram():
+    """The VM logs a call iff one pointer is ROM and the other RAM."""
+    text = ('.rom w "hi\\0"\n.ram 8\n'
+            '  STORE ram+0, 104\n  STORE ram+1, 111\n  LOADI r3, 5\n'
+            'rom_ram:\n  CALL STRCMP, w, ram\n'
+            'ram_rom:\n  CALL STRCMP, ram, w\n'
+            'rom_rom:\n  CALL STRCMP, w, w\n'
+            'ram_ram:\n  CALL STRCMP, ram, ram\n'
+            'bad_ram:\n  CALL STRCMP, r3, ram\n  HALT\n')
+    program = parse_scenario(text)
+    trace = execute(program, FuzzInput(b""))
+    assert [r.cmp_id for r in trace.comparisons] == [
+        label_to_cmp_id(program, "rom_ram"),
+        label_to_cmp_id(program, "ram_rom")]
+    for rec in trace.comparisons:
+        assert rec.ideal_str == b"hi"
+        assert rec.observed_str == b"ho"
+        assert not rec.is_solved()
 
 
 def test_print_call_is_logged_as_candidate(corpus):
@@ -45,6 +48,20 @@ def test_snapshot_semantics(corpus):
     assert not rec.is_solved()
     solved = execute(program, FuzzInput(b"OK\x00z")).comparisons[0]
     assert solved.is_solved()
+    # STRSTR is satisfied by a substring: the verdict is the builtin's.
+    found = execute(corpus["suffix_ok"].program,
+                    FuzzInput(b"OK")).comparisons[0]
+    assert found.observed_str == b"xxOK"
+    assert found.is_solved()
+    # PRINT is a logged false positive and is never satisfied.
+    for data in (b"", b"x", b"De", b"Device up", bytes(range(256))):
+        fp = execute(corpus["print_fp"].program, FuzzInput(data))
+        assert not any(r.is_solved() for r in fp.comparisons)
+    text = ('.rom w "hi\\0"\n.ram 8\n  STORE ram+0, 104\n'
+            '  STORE ram+1, 105\n  CALL PRINT, w, ram\n  HALT\n')
+    equal = execute(parse_scenario(text), FuzzInput(b"")).comparisons[0]
+    assert equal.observed_str == equal.ideal_str == b"hi"
+    assert not equal.is_solved()
 
 
 def test_cmp_id_is_static_site(corpus):
@@ -82,19 +99,6 @@ def test_trace_accessors(corpus):
     program = corpus["interleaved_ac"].program
     trace = execute(program, FuzzInput(b"0123456789"))
     key = trace.comparisons[0].key
-    assert get_read_bytes(trace, key) == 9
-    assert get_observed(trace, key)[:2] == b"14"
+    assert find_record(trace, key).read_cursor == 9
+    assert find_record(trace, key).observed[:2] == b"14"
     assert find_record(trace, CmpKey(9999, 0)) is None
-    assert get_observed(trace, CmpKey(9999, 0)) is None
-
-
-def test_dump_records(corpus):
-    program = corpus["contract_ok"].program
-    trace = execute(program, FuzzInput(b"wxyz"))
-    buf = io.StringIO()
-    dump_records(trace, buf)
-    lines = buf.getvalue().strip().splitlines()
-    assert len(lines) == 1
-    obj = json.loads(lines[0])
-    assert bytes.fromhex(obj["observed"])[:4] == b"wxyz"
-    assert obj["ideal_len"] == 2

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scatterfuzz import CoverageMap, FuzzInput, execute
-from scatterfuzz.coverage import (LENGTH_WINDOW, LengthObservation,
-                                  length_feedback_bit, strlen_bounded)
+from scatterfuzz.coverage import (LENGTH_WINDOW, length_feedback_bit,
+                                  strlen_bounded)
 from scatterfuzz.program import MAP_SIZE, MAX_STRLEN
 
 
@@ -19,8 +19,7 @@ def test_strlen_bounded():
 @given(st.integers(0, 255), st.integers(0, MAX_STRLEN),
        st.integers(0, MAX_STRLEN))
 def test_length_window_property(cmp_id, observed_len, ideal_len):
-    obs = LengthObservation(cmp_id, observed_len, ideal_len)
-    bit = length_feedback_bit(obs)
+    bit = length_feedback_bit(cmp_id, observed_len, ideal_len)
     inside = abs(observed_len - ideal_len) <= LENGTH_WINDOW
     if inside:
         assert bit is not None and 0 <= bit < MAP_SIZE
@@ -29,9 +28,9 @@ def test_length_window_property(cmp_id, observed_len, ideal_len):
 
 
 def test_length_bit_depends_on_site_and_length():
-    a = length_feedback_bit(LengthObservation(1, 5, 5))
-    b = length_feedback_bit(LengthObservation(2, 5, 5))
-    c = length_feedback_bit(LengthObservation(1, 6, 5))
+    a = length_feedback_bit(1, 5, 5)
+    b = length_feedback_bit(2, 5, 5)
+    c = length_feedback_bit(1, 6, 5)
     assert len({a, b, c}) == 3
 
 
@@ -66,17 +65,6 @@ def test_length_feedback_toggle(corpus):
     cov_on = CoverageMap()
     res_on = cov_on.record_trace(t, length_feedback=True)
     assert res_on.new_length_bits >= 1
-
-
-def test_merge(corpus):
-    program = corpus["nostr_chain"].program
-    a, b = CoverageMap(), CoverageMap()
-    a.record_trace(execute(program, FuzzInput(b"\x00\x40\x80")))
-    b.record_trace(execute(program, FuzzInput(b"\xc0\xc0\xc0")))
-    total = a.bit_count() + b.bit_count()
-    a.merge(b)
-    assert a.bit_count() <= total
-    assert a.bit_count() >= b.bit_count()
 
 
 @settings(max_examples=30, deadline=None)

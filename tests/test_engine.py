@@ -7,13 +7,14 @@ import pytest
 
 import scatterfuzz.engine as engine_mod
 from scatterfuzz import CampaignConfig, ConfigError, run_campaign
+from scatterfuzz.bench import DEFAULT_BENCH_EXECS
 from scatterfuzz.engine import Campaign, QueueEntry
 from scatterfuzz.program import FuzzInput
 
 
 def make_entry(data, entry_id=0):
-    return QueueEntry(input=FuzzInput(bytes(data)), trace_digest=0,
-                      discovered_at=0, entry_id=entry_id, via="seed")
+    return QueueEntry(input=FuzzInput(bytes(data)), discovered_at=0,
+                      entry_id=entry_id, via="seed")
 
 
 def small_campaign(corpus, name, execs=3000, **kw):
@@ -180,3 +181,27 @@ def test_campaign_dir_layout(corpus, tmp_path):
     assert summary["executions"] == 3000
     solver_lines = (out / "solver.jsonl").read_text().strip().splitlines()
     assert all(json.loads(line) for line in solver_lines if line)
+
+
+def test_every_scenario_runs_to_budget(corpus):
+    """Whole corpus x solver on/off at the bench budget, no exception.
+
+    With the solver on, every expected string except the false positive
+    is solved, and each solve marks a new site, so solves never exceed
+    the number of comparison sites.
+    """
+    for scenario in corpus.values():
+        program = scenario.program
+        sites = sum(ins.opcode == "CALL" for ins in program.instructions)
+        for solver in (True, False):
+            stats = run_campaign(program, CampaignConfig(
+                rng_seed=1, max_executions=DEFAULT_BENCH_EXECS,
+                solver_enabled=solver))
+            label = f"{scenario.name}/solver={solver}"
+            assert stats.executions == DEFAULT_BENCH_EXECS, label
+            if not solver or scenario.category == "false_positive":
+                continue
+            missing = [e.label for e in scenario.expected_strings
+                       if e.cmp_id not in stats.solved_comparisons]
+            assert not missing, (label, missing)
+            assert stats.solver_solved <= sites, label

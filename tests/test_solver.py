@@ -10,8 +10,7 @@ from scatterfuzz.asm import parse_scenario
 from scatterfuzz.cmplog import CmpKey, find_record
 from scatterfuzz.errors import InconsistentBaseline
 from scatterfuzz.solver import (DEFAULT_DELIMITERS, SolveStatus,
-                                candidate_positions, contract_string,
-                                default_exec_budget)
+                                candidate_positions, default_exec_budget)
 
 from synthetic import SyntheticInstance, brute_force_solvable, make_executor
 
@@ -78,8 +77,9 @@ def test_contraction_uses_nul(corpus, get_key):
     program, key = get_key("contract_ok", "cmp_ok")
     fi = FuzzInput(b"wxyz")
     rec = find_record(execute(program, fi), key)
-    res = contract_string(program, fi, key, rec.ideal_str, rec.observed_str,
-                          lambda f: execute(program, f))
+    assert len(rec.observed_str) > len(rec.ideal_str)
+    res = solve(program, fi, key, rec.ideal_str, rec.observed_str,
+                lambda f: execute(program, f))
     assert res.status is SolveStatus.SOLVED
     assert res.solved_input.bytes[:3] == b"OK\x00"
     verify = find_record(execute(program, res.solved_input), key)
