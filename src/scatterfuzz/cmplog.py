@@ -1,4 +1,4 @@
-"""Comparison records and buffer snapshots.
+"""Comparison records.
 
 Every CALL whose two pointer arguments decode to one ROM and one RAM
 address is logged as a candidate string comparison, no matter which
@@ -11,8 +11,6 @@ exactly what the firmware's comparison decided.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-from .program import MAX_STRLEN, RAM_BASE, ROM_BASE, TargetProgram
 
 # Bounds against pathological scenarios: extra hits/sites are counted in
 # the trace's overflow counter, never silently dropped mid-record.
@@ -52,15 +50,6 @@ class ComparisonRecord:
     def is_solved(self):
         """True when the builtin reported the comparison as satisfied."""
         return self.satisfied
-
-
-def snapshot(program: TargetProgram, ram: bytearray, addr: int) -> bytes:
-    """Copy up to MAX_STRLEN bytes at addr, stopping at the segment end."""
-    if program.in_rom(addr):
-        off = addr - ROM_BASE
-        return bytes(program.rom[off:off + MAX_STRLEN])
-    off = addr - RAM_BASE
-    return bytes(ram[off:off + MAX_STRLEN])
 
 
 def find_record(trace, key: CmpKey):

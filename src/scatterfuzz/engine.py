@@ -88,6 +88,7 @@ class CampaignStats:
     solver_solved: int = 0
     solver_executions: int = 0
     inconsistent_baselines: int = 0
+    cmp_overflow: int = 0           # comparison hits past the log's caps
 
 
 class _CampaignDone(Exception):
@@ -127,6 +128,7 @@ class Campaign:
         trace = execute(self.program, FuzzInput(data),
                         budget=self.config.instr_budget, read_log=False)
         self.stats.executions += 1
+        self.stats.cmp_overflow += trace.cmp_overflow
         self.blocks_seen |= trace.blocks
         if trace.exit is ExitReason.CRASH:
             self.stats.crashes += 1
@@ -335,7 +337,9 @@ class Campaign:
                 for k, v in sorted(self.stats.solved_comparisons.items())},
             "solver_attempts": self.stats.solver_attempts,
             "solver_solved": self.stats.solver_solved,
+            "solver_executions": self.stats.solver_executions,
             "inconsistent_baselines": self.stats.inconsistent_baselines,
+            "cmp_overflow": self.stats.cmp_overflow,
             "config": self.config.digest(),
         }
         (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")

@@ -68,12 +68,6 @@ class TargetProgram:
 
     # -- address helpers -------------------------------------------------
 
-    def rom_range(self):
-        return ROM_BASE, ROM_BASE + len(self.rom)
-
-    def ram_range(self):
-        return RAM_BASE, RAM_BASE + self.ram_size
-
     def in_rom(self, addr):
         return ROM_BASE <= addr < ROM_BASE + len(self.rom)
 

@@ -168,9 +168,14 @@ def _solve_inner(base, key, ideal, observed, rn, offset, delimiters):
                                executions_used=rn.execs, unmapped_index=pos,
                                alignment_offset=offset)
         pos += 1
+        if last_rec.is_solved():
+            # The comparison passes already (e.g. STRSTR found the
+            # needle); mapping on or contracting would only spend runs.
+            break
 
-    # All targeted positions locked; the trace of the final working input
-    # doubles as the verification execution (execution is deterministic).
+    # All targeted positions locked, or the comparison passed early; the
+    # trace of the final working input doubles as the verification
+    # execution (execution is deterministic).
     if last_rec.is_solved():
         rn.event("map", i=None, j=None, outcome="solved")
         return SolveResult(SolveStatus.SOLVED, mapped=mapped,

@@ -12,11 +12,10 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .cmplog import (MAX_CMP_SITES, MAX_HITS_PER_SITE, ComparisonRecord,
-                     snapshot)
+from .cmplog import MAX_CMP_SITES, MAX_HITS_PER_SITE, ComparisonRecord
 from .coverage import strlen_bounded
-from .program import (DEFAULT_INSTR_BUDGET, MAP_SIZE, RAM_BASE, ROM_BASE,
-                      FuzzInput, TargetProgram, block_edge_id)
+from .program import (DEFAULT_INSTR_BUDGET, MAP_SIZE, MAX_STRLEN, RAM_BASE,
+                      ROM_BASE, FuzzInput, TargetProgram, block_edge_id)
 
 
 class ExitReason(enum.Enum):
@@ -43,10 +42,53 @@ class ExecutionTrace:
     cmp_overflow: int = 0
 
 
+# Bytes a string builtin reads from one pointer; records keep MAX_STRLEN.
+_CSTR_LIMIT = 256
+
+
+def _cstring(seg, off):
+    """The C string at seg[off]: up to the first NUL, _CSTR_LIMIT bytes or
+    the segment end, whichever comes first."""
+    end = seg.find(0, off, off + _CSTR_LIMIT)
+    if end < 0:
+        end = min(len(seg), off + _CSTR_LIMIT)
+    return bytes(seg[off:end])
+
+
+def _classify(program, a0, a1):
+    """The one ROM/RAM call-site classifier.
+
+    A CALL is logged as a candidate string comparison iff one pointer is
+    in ROM and the other in RAM.  Returns what depends only on the two
+    pointers, ``(ideal snapshot, ideal_len, observed RAM offset)``, or
+    None for a call that is not logged.
+    """
+    if program.in_rom(a0) and program.in_ram(a1):
+        ideal_addr, obs_addr = a0, a1
+    elif program.in_rom(a1) and program.in_ram(a0):
+        ideal_addr, obs_addr = a1, a0
+    else:
+        return None
+    off = ideal_addr - ROM_BASE
+    ideal = program.rom[off:off + MAX_STRLEN]
+    return ideal, strlen_bounded(ideal), obs_addr - RAM_BASE
+
+
+def _satisfied(builtin, ret):
+    """The builtin's verdict on its return value.
+
+    This is the only definition of a satisfied comparison: the
+    comparators pass on 0, STRSTR when it found the needle (non-zero),
+    and PRINT never.
+    """
+    if builtin == "STRSTR":
+        return ret != 0
+    return ret == 0 and builtin != "PRINT"
+
+
 class _State:
     __slots__ = ("r", "ram", "data", "n", "cursor", "exit", "crash_pc",
-                 "rl", "comparisons", "hits", "overflow", "program",
-                 "rom_lo", "rom_hi", "ram_lo", "ram_hi")
+                 "rl", "comparisons", "hits", "overflow", "program")
 
     def __init__(self, program, data, read_log):
         self.r = [0] * 8
@@ -61,49 +103,42 @@ class _State:
         self.hits = {}
         self.overflow = 0
         self.program = program
-        self.rom_lo, self.rom_hi = program.rom_range()
-        self.ram_lo, self.ram_hi = program.ram_range()
 
     # -- builtin call sites ----------------------------------------------
 
     def call(self, idx, builtin, a0, a1):
-        # The one ROM/RAM call-site classifier, inlined: this path is the
-        # hottest Python-level code in a campaign.  Records carry the
-        # builtin's own verdict as the only definition of "satisfied".
+        """A CALL with a register operand, classified when it runs.
+
+        CALLs with two immediate pointers are compiled by _site instead.
+        """
         ret = self._builtin(builtin, a0, a1)
-        prog = self.program
-        a0_rom = self.rom_lo <= a0 < self.rom_hi
-        a1_rom = self.rom_lo <= a1 < self.rom_hi
-        if a0_rom and self.ram_lo <= a1 < self.ram_hi:
-            ideal_addr, obs_addr = a0, a1
-        elif a1_rom and self.ram_lo <= a0 < self.ram_hi:
-            ideal_addr, obs_addr = a1, a0
-        else:
-            ideal_addr = None
-        if ideal_addr is not None:
-            hits = self.hits
-            h = hits.get(idx)
-            if h is None:
-                if len(hits) >= MAX_CMP_SITES:
-                    self.overflow += 1
-                    h = None
-                else:
-                    h = 0
-            elif h >= MAX_HITS_PER_SITE:
-                self.overflow += 1
-                h = None
-            if h is not None:
-                hits[idx] = h + 1
-                obs = snapshot(prog, self.ram, obs_addr)
-                idl = snapshot(prog, self.ram, ideal_addr)
-                self.comparisons.append(ComparisonRecord(
-                    cmp_id=idx, hit_index=h, observed=obs, ideal=idl,
-                    read_cursor=self.cursor,
-                    observed_len=strlen_bounded(obs),
-                    ideal_len=strlen_bounded(idl),
-                    satisfied=(ret != 0 if builtin == "STRSTR"
-                               else ret == 0 and builtin != "PRINT")))
+        facts = _classify(self.program, a0, a1)
+        if facts is not None:
+            self.log(idx, *facts, _satisfied(builtin, ret))
         return ret
+
+    def log(self, idx, ideal, ideal_len, obs_off, satisfied):
+        """Record one hit of a logged call site, within the caps.
+
+        Hits past MAX_HITS_PER_SITE, and sites past MAX_CMP_SITES, are
+        counted in the overflow counter instead.
+        """
+        hits = self.hits
+        h = hits.get(idx)
+        if h is None:
+            if len(hits) >= MAX_CMP_SITES:
+                self.overflow += 1
+                return
+            h = 0
+        elif h >= MAX_HITS_PER_SITE:
+            self.overflow += 1
+            return
+        hits[idx] = h + 1
+        obs = bytes(self.ram[obs_off:obs_off + MAX_STRLEN])
+        self.comparisons.append(ComparisonRecord(
+            cmp_id=idx, hit_index=h, observed=obs, ideal=ideal,
+            read_cursor=self.cursor, observed_len=strlen_bounded(obs),
+            ideal_len=ideal_len, satisfied=satisfied))
 
     def _byte(self, addr):
         prog = self.program
@@ -113,18 +148,13 @@ class _State:
             return self.ram[addr - RAM_BASE]
         return None
 
-    def _cstr(self, addr, limit=256):
+    def _cstr(self, addr):
         prog = self.program
         if prog.in_rom(addr):
-            seg, off = prog.rom, addr - ROM_BASE
-        elif prog.in_ram(addr):
-            seg, off = self.ram, addr - RAM_BASE
-        else:
-            return b""
-        end = seg.find(0, off, off + limit)
-        if end < 0:
-            end = min(len(seg), off + limit)
-        return bytes(seg[off:end])
+            return _cstring(prog.rom, addr - ROM_BASE)
+        if prog.in_ram(addr):
+            return _cstring(self.ram, addr - RAM_BASE)
+        return b""
 
     def _builtin(self, name, a0, a1):
         if name == "PRINT":
@@ -157,6 +187,41 @@ class _State:
         raise AssertionError(f"unknown builtin {name}")
 
 
+def _site(program, idx, builtin, a0, a1):
+    """Compile the CALL at idx, whose pointers a0 and a1 are immediates.
+
+    Everything that depends only on the site is settled here, once: the
+    classification, the ideal snapshot and length, and for a logged
+    STRCMP the ROM string it compares against and its verdict rule.
+    RAM, r2 and the read cursor are still read when the site runs.
+    """
+    facts = _classify(program, a0, a1)
+    if facts is None:
+        def site(st):
+            return st._builtin(builtin, a0, a1)
+        return site
+    ideal, ideal_len, obs_off = facts
+    if builtin == "STRCMP":
+        # _cstring of both sides, with the ROM side read once.
+        key = _cstring(program.rom,
+                       (a0 if program.in_rom(a0) else a1) - ROM_BASE)
+        lim = obs_off + _CSTR_LIMIT
+
+        def site(st):
+            ram = st.ram
+            end = ram.find(0, obs_off, lim)
+            eq = ram[obs_off:end if end >= 0 else lim] == key
+            st.log(idx, ideal, ideal_len, obs_off, eq)
+            return 0 if eq else 1
+        return site
+
+    def site(st):
+        ret = st._builtin(builtin, a0, a1)
+        st.log(idx, ideal, ideal_len, obs_off, _satisfied(builtin, ret))
+        return ret
+    return site
+
+
 # -- block compilation ---------------------------------------------------
 
 
@@ -176,12 +241,12 @@ def _operand_expr(o):
     return str(val)
 
 
-def _gen_block(program, bi, start, end, read_log):
+def _gen_block(program, bi, start, end, read_log, sites):
     ins_list = program.instructions
     rom_len = len(program.rom)
     ram_size = program.ram_size
     lines = [f"def _b{bi}(st, rom=_ROM):", "    r = st.r"]
-    uses_ram = any(ins_list[i].opcode in ("STORE", "LOAD", "CALL")
+    uses_ram = any(ins_list[i].opcode in ("STORE", "LOAD")
                    for i in range(start, end))
     if uses_ram:
         lines.append("    ram = st.ram")
@@ -277,9 +342,12 @@ def _gen_block(program, bi, start, end, read_log):
             else:
                 emit(f"ram[{off}] = {val}")
         elif op == "CALL":
-            a0 = _operand_expr(ops[1])
-            a1 = _operand_expr(ops[2])
-            emit(f"r[0] = st.call({idx}, {ops[0][1]!r}, {a0}, {a1})")
+            if idx in sites:
+                emit(f"r[0] = _s{idx}(st)")
+            else:
+                a0 = _operand_expr(ops[1])
+                a1 = _operand_expr(ops[2])
+                emit(f"r[0] = st.call({idx}, {ops[0][1]!r}, {a0}, {a1})")
         elif op == "CRASH":
             emit(f"st.exit = 1; st.crash_pc = {idx}")
             emit("return -1")
@@ -323,11 +391,20 @@ def compile_program(program: TargetProgram) -> _Compiled:
     bounds = [(starts[i], starts[i + 1] if i + 1 < n_blocks
                else len(program.instructions)) for i in range(n_blocks)]
 
+    # One specialized function per CALL with two immediate pointers,
+    # shared by both block sets.
+    sites = {}
+    for idx, ins in enumerate(program.instructions):
+        ops = ins.operands
+        if ins.opcode == "CALL" and ops[1][0] == ops[2][0] == "imm":
+            sites[idx] = _site(program, idx, ops[0][1], ops[1][1], ops[2][1])
+
     def build(read_log):
         src = "\n\n".join(
-            _gen_block(program, bi, lo, hi, read_log)
+            _gen_block(program, bi, lo, hi, read_log, sites)
             for bi, (lo, hi) in enumerate(bounds))
         glb = {"_ROM": program.rom}
+        glb.update((f"_s{idx}", fn) for idx, fn in sites.items())
         exec(compile(src, f"<scenario:{program.name or 'vm'}>", "exec"), glb)
         return [glb[f"_b{bi}"] for bi in range(n_blocks)]
 

@@ -7,7 +7,9 @@ import pytest
 
 import scatterfuzz.engine as engine_mod
 from scatterfuzz import CampaignConfig, ConfigError, run_campaign
+from scatterfuzz.asm import parse_scenario
 from scatterfuzz.bench import DEFAULT_BENCH_EXECS
+from scatterfuzz.cmplog import MAX_HITS_PER_SITE
 from scatterfuzz.engine import Campaign, QueueEntry
 from scatterfuzz.program import FuzzInput
 
@@ -169,9 +171,12 @@ def test_wall_clock_limit_stops_early(corpus):
 
 def test_campaign_dir_layout(corpus, tmp_path):
     out = tmp_path / "camp"
-    run_campaign(corpus["modem_ok"].program,
-                 CampaignConfig(rng_seed=1, max_executions=3000),
-                 out_dir=out)
+    overflow = []
+    stats = run_campaign(
+        corpus["modem_ok"].program,
+        CampaignConfig(rng_seed=1, max_executions=3000), out_dir=out,
+        observer=lambda c, trace, data, kind: overflow.append(
+            trace.cmp_overflow))
     assert (out / "queue").is_dir()
     assert (out / "crashes").is_dir()
     assert (out / "bitmap.bin").stat().st_size == 8192
@@ -179,8 +184,25 @@ def test_campaign_dir_layout(corpus, tmp_path):
     assert all(json.loads(line) for line in stats_lines)
     summary = json.loads((out / "summary.json").read_text())
     assert summary["executions"] == 3000
+    assert summary["solver_executions"] == stats.solver_executions > 0
+    assert summary["cmp_overflow"] == stats.cmp_overflow == sum(overflow)
     solver_lines = (out / "solver.jsonl").read_text().strip().splitlines()
     assert all(json.loads(line) for line in solver_lines if line)
+
+
+def test_summary_counts_cmp_overflow(tmp_path):
+    """Hits past the per-site cap reach CampaignStats and summary.json."""
+    program = parse_scenario(
+        '.rom w "hi\\0"\n.ram 8\n.periph p\n'
+        'top:\n  READ_REG r1, p\n  CALL STRCMP, w, ram\n  JMP top\n')
+    out = tmp_path / "camp"
+    stats = run_campaign(program, CampaignConfig(
+        rng_seed=1, max_executions=200, solver_enabled=False),
+        seeds=[bytes(MAX_HITS_PER_SITE + 5)], out_dir=out)
+    summary = json.loads((out / "summary.json").read_text())
+    assert stats.cmp_overflow >= 5
+    assert summary["cmp_overflow"] == stats.cmp_overflow
+    assert summary["solver_executions"] == 0
 
 
 def test_every_scenario_runs_to_budget(corpus):

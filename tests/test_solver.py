@@ -121,6 +121,30 @@ def test_tail_alignment_on_substring(corpus, get_key):
     assert both.solved_input.bytes == b"OK"
 
 
+def test_mapping_stops_once_substring_found():
+    """A lock that satisfies STRSTR ends the solve; nothing is contracted.
+
+    Head alignment maps "OK" onto the haystack's first two bytes; the
+    rest of the haystack stays as read.
+    """
+    text = ('.rom needle "OK\\0"\n.ram 8\n.periph p\n'
+            '  READ_REG r1, p\n  STORE ram+0, r1\n'
+            '  READ_REG r1, p\n  STORE ram+1, r1\n'
+            '  READ_REG r1, p\n  STORE ram+2, r1\n'
+            '  READ_REG r1, p\n  STORE ram+3, r1\n'
+            'cmp_find:\n  CALL STRSTR, ram, needle\n  HALT\n')
+    program = parse_scenario(text)
+    fi = FuzzInput(b"abcd")
+    rec = execute(program, fi).comparisons[0]
+    assert rec.observed_str == b"abcd" and not rec.is_solved()
+    res = solve_with_alignments(program, fi, rec.key, rec,
+                                lambda f: execute(program, f))
+    assert res.status is SolveStatus.SOLVED
+    assert res.solved_input.bytes == b"OKcd"
+    assert res.executions_used == 3
+    assert res.mapped == [(0, 0), (1, 1)]
+
+
 def test_false_positive_abandoned_cheaply(corpus, get_key):
     program, key = get_key("print_fp", "cmp_print")
     fi = FuzzInput(b"qq")

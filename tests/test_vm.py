@@ -1,12 +1,14 @@
 """Executor semantics: stream reads, branching, builtins, crashes, edges."""
 
+from typing import NamedTuple
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scatterfuzz import ExitReason, FuzzInput, execute
 from scatterfuzz.asm import parse_scenario
-from scatterfuzz.program import block_edge_id
+from scatterfuzz.program import BUILTINS, ROM_BASE, block_edge_id
 from scatterfuzz.vm import compile_program
 
 
@@ -157,3 +159,109 @@ def test_steps_accounting():
     t = run('.rom s "a\\0"\n.ram 8\n  LOADI r1, 1\n  LOADI r2, 2\n  HALT\n',
             b"")
     assert t.steps == 3
+
+
+class CallCase(NamedTuple):
+    builtin: str
+    key: bytes          # first ROM string, then other
+    other: bytes
+    ram_size: int
+    fill: bytes         # RAM bytes from offset 0, the rest stays zero
+    a0: str             # operand tokens: ROM symbol or address, ram+k, int
+    a1: str
+    n: int              # r2, the bound STRNCMP and MEMCMP read
+    j: int              # RAM offset each input byte is stored to
+    j2: int | None      # RAM offset r0's low byte is stored to, if any
+    data: bytes
+
+
+def call_program(case, registers):
+    """A loop over one CALL site, with immediate or register pointers.
+
+    Each round stores an input byte into RAM and runs the CALL; a zero
+    r0 consumes one more input byte, so every hit's branch shows in the
+    later records' read cursors and in the final cursor.  The pointers
+    are loaded into r4/r5 in both versions, so instruction indices and
+    step counts agree.
+    """
+    a0, a1 = ("r4", "r5") if registers else (case.a0, case.a1)
+
+    def rom(data):
+        return "".join(f"\\x{b:02x}" for b in data)
+
+    lines = [f'.rom key "{rom(case.key)}"', f'.rom other "{rom(case.other)}"',
+             f".ram {case.ram_size}", ".periph p", f"  LOADI r2, {case.n}"]
+    lines += [f"  STORE ram+{i}, {b}" for i, b in enumerate(case.fill)]
+    lines += ["top:", "  READ_REG r1, p", f"  STORE ram+{case.j}, r1",
+              f"  LOADI r4, {case.a0}", f"  LOADI r5, {case.a1}",
+              f"  CALL {case.builtin}, {a0}, {a1}"]
+    if case.j2 is not None:
+        lines.append(f"  STORE ram+{case.j2}, r0")
+    lines += ["  BNZ r0, top", "  READ_REG r6, p", "  JMP top"]
+    return parse_scenario("\n".join(lines) + "\n")
+
+
+# Small alphabets make equal strings, found needles and NULs common.
+_ROM_STRINGS = st.one_of(
+    st.lists(st.sampled_from(b"ab"), max_size=5).map(bytes),
+    st.builds(lambda c, n: bytes([c]) * n, st.sampled_from(b"ab"),
+              st.sampled_from([127, 128, 129, 255, 256, 257, 300])))
+_OPERAND_KINDS = [("rom", "ram"), ("ram", "rom"), ("rom", "rom"),
+                  ("ram", "ram"), ("int", "ram"), ("rom", "int")]
+
+
+@st.composite
+def call_cases(draw):
+    key = draw(_ROM_STRINGS) + draw(st.sampled_from([b"", b"\0"]))
+    other = draw(_ROM_STRINGS.filter(bool)) + draw(
+        st.sampled_from([b"", b"\0"]))
+    rom_len = len(key) + len(other)
+    ram_size = draw(st.sampled_from([1, 8, 130, 260, 300])
+                    | st.integers(1, 64))
+    ram_off = st.sampled_from([0, ram_size - 1]) | st.integers(
+        0, ram_size - 1)
+    # NUL-free RAM runs up to the whole segment, some bytes poked after.
+    fill = bytearray(bytes([draw(st.sampled_from(b"ab"))])
+                     * draw(st.sampled_from([0, ram_size])
+                            | st.integers(0, ram_size)))
+    for off, byte in draw(st.lists(st.tuples(ram_off, st.sampled_from(
+            b"\0ab")), max_size=3)):
+        fill.extend(bytes(max(0, off + 1 - len(fill))))
+        fill[off] = byte
+    tokens = {
+        "rom": st.sampled_from(["key", "other"]) | st.integers(
+            0, rom_len - 1).map(lambda o: hex(ROM_BASE + o)),
+        "ram": ram_off.map(lambda k: f"ram+{k}"),
+        "int": st.sampled_from(["0", "7"]),
+    }
+    k0, k1 = draw(st.sampled_from(_OPERAND_KINDS))
+    n_in = draw(st.integers(0, 48))
+    return CallCase(
+        builtin=draw(st.sampled_from(sorted(BUILTINS))), key=key,
+        other=other, ram_size=ram_size, fill=bytes(fill),
+        a0=draw(tokens[k0]), a1=draw(tokens[k1]),
+        n=draw(st.sampled_from([0, 1, 3, 129, 300]) | st.integers(0, 10)),
+        j=draw(ram_off), j2=draw(st.none() | ram_off),
+        data=bytes(draw(st.lists(st.sampled_from(b"\0ab"), min_size=n_in,
+                                 max_size=n_in))))
+
+
+@settings(max_examples=300, deadline=None)
+@example(CallCase("STRCMP", b"a" * 300, b"\0", 300, b"a" * 300, "ram+0",
+                  "key", 0, 255, None, b"abb" * 20))
+@given(call_cases())
+def test_immediate_sites_match_register_calls(case):
+    """Compile-time specialized CALL sites behave like the generic call.
+
+    In the example both strings are 300 NUL-free bytes, of which STRCMP
+    reads 256 and the records keep 128; they are equal exactly when the
+    loop writes an "a" at offset 255, and the loop passes
+    MAX_HITS_PER_SITE.
+    """
+    imm = execute(call_program(case, registers=False), FuzzInput(case.data))
+    reg = execute(call_program(case, registers=True), FuzzInput(case.data))
+    assert imm.comparisons == reg.comparisons
+    assert (imm.cmp_overflow, imm.exit, imm.final_cursor, imm.steps,
+            imm.edges, imm.read_log) == \
+           (reg.cmp_overflow, reg.exit, reg.final_cursor, reg.steps,
+            reg.edges, reg.read_log)
