@@ -3,9 +3,10 @@
 The target is a small deterministic virtual microcontroller whose
 firmware-style programs consume the fuzz input as a byte stream, one
 byte per peripheral register read.  String comparison call sites are
-detected at run time; a feedback-guided search maps each observed
-string byte back to the input byte that produced it and replaces it
-with the character the program wants.
+classified when the program is compiled (immediate pointer operands) or
+when the call runs (register operands); a feedback-guided search maps
+each observed string byte back to the input byte that produced it and
+replaces it with the character the program wants.
 """
 
 from .cmplog import CmpKey, ComparisonRecord

@@ -16,10 +16,10 @@ LENGTH_WINDOW = 4
 _LENGTH_SALT = 0x4C454E46
 
 
-def strlen_bounded(buffer: bytes, max_len: int = MAX_STRLEN) -> int:
-    """Index of the first NUL, or max_len if none within max_len bytes."""
-    pos = buffer.find(0, 0, max_len)
-    return pos if pos >= 0 else min(len(buffer), max_len)
+def strlen_bounded(buffer: bytes) -> int:
+    """Index of the first NUL, or MAX_STRLEN if none within MAX_STRLEN bytes."""
+    pos = buffer.find(0, 0, MAX_STRLEN)
+    return pos if pos >= 0 else min(len(buffer), MAX_STRLEN)
 
 
 def length_feedback_bit(cmp_id: int, observed_len: int, ideal_len: int):
@@ -58,9 +58,6 @@ class CoverageMap:
         # (cmp_id, observed_len, ideal_len) -> bit index or None; the
         # hash is pure, so caching it is safe and saves the hot path.
         self._len_bit_cache: dict = {}
-
-    def __contains__(self, index):
-        return index in self._bits
 
     def bit_count(self):
         return len(self._bits)

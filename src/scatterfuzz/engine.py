@@ -41,15 +41,11 @@ class CampaignConfig:
     solver_enabled: bool = True
     colorization_enabled: bool = True
     length_feedback_enabled: bool = True
-    energy: int = DEFAULT_ENERGY
     instr_budget: int = DEFAULT_INSTR_BUDGET
-    max_input_len: int = DEFAULT_MAX_INPUT_LEN
 
     def __post_init__(self):
         if self.max_executions <= 0:
             raise ConfigError("max_executions must be positive")
-        if self.energy <= 0:
-            raise ConfigError("energy must be positive")
         if self.instr_budget <= 0:
             raise ConfigError("instr_budget must be positive")
 
@@ -63,7 +59,6 @@ class CampaignConfig:
 @dataclass
 class QueueEntry:
     input: FuzzInput
-    discovered_at: int              # execution counter at insertion
     entry_id: int
     via: str                        # "seed", "havoc", or "solver"
     edges: frozenset = frozenset()
@@ -158,10 +153,8 @@ class Campaign:
     # -- queue management -------------------------------------------------
 
     def _enqueue(self, data: bytes, via: str, edges) -> QueueEntry:
-        entry = QueueEntry(input=FuzzInput(data, id=f"{len(self.queue):06d}"),
-                           discovered_at=self.stats.executions,
-                           entry_id=len(self.queue), via=via,
-                           edges=frozenset(edges))
+        entry = QueueEntry(input=FuzzInput(data), entry_id=len(self.queue),
+                           via=via, edges=frozenset(edges))
         self.queue.append(entry)
         self.stats.queue_len = len(self.queue)
         return entry
@@ -268,7 +261,7 @@ class Campaign:
                     data = data[:cut] + bytearray(graft)
         if not data:
             data = bytearray([rng.getrandbits(8)])
-        return bytes(data[:self.config.max_input_len])
+        return bytes(data[:DEFAULT_MAX_INPUT_LEN])
 
     # -- main loop --------------------------------------------------------
 
@@ -293,7 +286,7 @@ class Campaign:
                             + [e for e in self.queue if not e.favored])
                 entry = schedule[cursor % len(schedule)]
                 cursor += 1
-                for _ in range(self.config.energy):
+                for _ in range(DEFAULT_ENERGY):
                     mutant = self.mutate(entry, self.mut_rng)
                     trace = self._exec(mutant, "havoc")
                     res = self._record(trace)

@@ -44,7 +44,6 @@ class Instruction:
 @dataclass(frozen=True)
 class FuzzInput:
     bytes: bytes
-    id: str = ""
 
     def __len__(self):
         return len(self.bytes)

@@ -90,8 +90,7 @@ class _Runner:
 
 
 def solve(program, base_input, key: CmpKey, ideal: bytes, observed: bytes,
-          executor, *, exec_budget=None, offset=0,
-          delimiters=DEFAULT_DELIMITERS, log=None) -> SolveResult:
+          executor, *, exec_budget=None, offset=0, log=None) -> SolveResult:
     """Map ideal onto the observed string's bytes until the comparison passes.
 
     ``observed``/``ideal`` are the logical strings (no terminator) from a
@@ -106,14 +105,13 @@ def solve(program, base_input, key: CmpKey, ideal: bytes, observed: bytes,
         len(base))
     rn = _Runner(executor, budget, log, key)
     try:
-        return _solve_inner(base, key, ideal, observed, rn, offset,
-                            delimiters)
+        return _solve_inner(base, key, ideal, observed, rn, offset)
     except _Budget:
         return SolveResult(SolveStatus.BUDGET_EXHAUSTED,
                            executions_used=rn.execs, alignment_offset=offset)
 
 
-def _solve_inner(base, key, ideal, observed, rn, offset, delimiters):
+def _solve_inner(base, key, ideal, observed, rn, offset):
     trace = rn.run(base)
     rec = find_record(trace, key)
     if rec is None or rec.observed_str != observed or rec.ideal_str != ideal:
@@ -141,7 +139,7 @@ def _solve_inner(base, key, ideal, observed, rn, offset, delimiters):
         if pos - offset >= ideal_len:
             # Observed string is longer than ideal: contract it.
             return _contract(working, key, observed, pos, rn, last_index,
-                             read_limit, mapped, delimiters, offset)
+                             read_limit, mapped, offset)
         target = ideal[pos - offset]
         want = observed[pos]
         found = False
@@ -188,7 +186,7 @@ def _solve_inner(base, key, ideal, observed, rn, offset, delimiters):
 
 
 def _contract(working, key, observed, pos, rn, last_index, read_limit,
-              mapped, delimiters, offset):
+              mapped, offset):
     """Shorten an over-long observed string with a token delimiter.
 
     Locates the input byte feeding observed[pos] with the same
@@ -217,7 +215,7 @@ def _contract(working, key, observed, pos, rn, last_index, read_limit,
                            alignment_offset=offset)
 
     old = working[located]
-    for delim in delimiters:
+    for delim in DEFAULT_DELIMITERS:
         working[located] = delim
         trace = rn.run(working)
         rec = find_record(trace, key)
@@ -236,7 +234,6 @@ def _contract(working, key, observed, pos, rn, last_index, read_limit,
 
 
 def solve_with_alignments(program, base_input, key, record, executor, *,
-                          exec_budget=None, delimiters=DEFAULT_DELIMITERS,
                           log=None) -> SolveResult:
     """Try head alignment, then tail alignment for nested substring checks.
 
@@ -246,21 +243,19 @@ def solve_with_alignments(program, base_input, key, record, executor, *,
     observed = record.observed_str
     ideal = record.ideal_str
     head = solve(program, base_input, key, ideal, observed, executor,
-                 exec_budget=exec_budget, offset=0, delimiters=delimiters,
                  log=log)
     if head.status is SolveStatus.SOLVED or len(observed) <= len(ideal):
         return head
     tail_offset = len(observed) - len(ideal)
     tail = solve(program, base_input, key, ideal, observed, executor,
-                 exec_budget=exec_budget, offset=tail_offset,
-                 delimiters=delimiters, log=log)
+                 offset=tail_offset, log=log)
     if tail.status is SolveStatus.SOLVED:
         return tail
     return tail if len(tail.mapped) > len(head.mapped) else head
 
 
 def colorize(program, base_input, key, executor, rng, *,
-             max_execs=DEFAULT_COLORIZE_EXECS, log=None) -> FuzzInput:
+             log=None) -> FuzzInput:
     """Raise input entropy while keeping the targeted comparison reachable.
 
     Greedily replaces maximal spans with random bytes, splitting a span
@@ -272,7 +267,7 @@ def colorize(program, base_input, key, executor, rng, *,
     work = bytearray(base)
     stack = [(0, len(work))]
     execs = 0
-    while stack and execs < max_execs:
+    while stack and execs < DEFAULT_COLORIZE_EXECS:
         lo, hi = stack.pop()
         if hi <= lo:
             continue

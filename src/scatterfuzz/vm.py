@@ -5,6 +5,11 @@ function; execution is a trampoline over those functions.  Every
 READ_REG consumes exactly one byte of the fuzz input stream, so
 logically adjacent data bytes end up scattered across the input
 whenever several peripherals are polled between data reads.
+
+There is one compiled form of a block.  The read log is derived from
+the cursor: it moves only in READ_REG, and a block's reads run in static
+order until it exits, so a block that moved the cursor by k made the
+first k of its reads.
 """
 
 from __future__ import annotations
@@ -88,9 +93,9 @@ def _satisfied(builtin, ret):
 
 class _State:
     __slots__ = ("r", "ram", "data", "n", "cursor", "exit", "crash_pc",
-                 "rl", "comparisons", "hits", "overflow", "program")
+                 "comparisons", "hits", "overflow", "program")
 
-    def __init__(self, program, data, read_log):
+    def __init__(self, program, data):
         self.r = [0] * 8
         self.ram = bytearray(program.ram_size)
         self.data = data
@@ -98,7 +103,6 @@ class _State:
         self.cursor = 0
         self.exit = 0
         self.crash_pc = None
-        self.rl = [] if read_log else None
         self.comparisons = []
         self.hits = {}
         self.overflow = 0
@@ -227,8 +231,8 @@ def _site(program, idx, builtin, a0, a1):
 
 @dataclass
 class _Compiled:
-    fns: list            # block functions, read_log disabled
-    fns_log: list        # block functions, read_log enabled
+    fns: list            # block functions, the only compiled form
+    reads: list          # per block, the peripherals its READ_REGs name
     lens: list           # instruction count per block
     edge_ids: dict       # (prev << 16) | cur -> bitmap index
     sentinel: int        # virtual predecessor of the entry block
@@ -241,7 +245,7 @@ def _operand_expr(o):
     return str(val)
 
 
-def _gen_block(program, bi, start, end, read_log, sites):
+def _gen_block(program, bi, start, end, sites):
     ins_list = program.instructions
     rom_len = len(program.rom)
     ram_size = program.ram_size
@@ -250,9 +254,6 @@ def _gen_block(program, bi, start, end, read_log, sites):
                    for i in range(start, end))
     if uses_ram:
         lines.append("    ram = st.ram")
-    if read_log and any(ins_list[i].opcode == "READ_REG"
-                        for i in range(start, end)):
-        lines.append("    rl = st.rl")
 
     def emit(s):
         lines.append("    " + s)
@@ -273,8 +274,6 @@ def _gen_block(program, bi, start, end, read_log, sites):
             emit("    return -1")
             emit(f"r[{rd}] = st.data[c]")
             emit("st.cursor = c + 1")
-            if read_log:
-                emit(f"rl.append((c, {ops[1][1]!r}))")
         elif op in ("LOADI", "MOV"):
             emit(f"r[{ops[0][1]}] = {_operand_expr(ops[1])}")
         elif op == "AND":
@@ -391,22 +390,18 @@ def compile_program(program: TargetProgram) -> _Compiled:
     bounds = [(starts[i], starts[i + 1] if i + 1 < n_blocks
                else len(program.instructions)) for i in range(n_blocks)]
 
-    # One specialized function per CALL with two immediate pointers,
-    # shared by both block sets.
+    # One specialized function per CALL with two immediate pointers.
     sites = {}
     for idx, ins in enumerate(program.instructions):
         ops = ins.operands
         if ins.opcode == "CALL" and ops[1][0] == ops[2][0] == "imm":
             sites[idx] = _site(program, idx, ops[0][1], ops[1][1], ops[2][1])
 
-    def build(read_log):
-        src = "\n\n".join(
-            _gen_block(program, bi, lo, hi, read_log, sites)
-            for bi, (lo, hi) in enumerate(bounds))
-        glb = {"_ROM": program.rom}
-        glb.update((f"_s{idx}", fn) for idx, fn in sites.items())
-        exec(compile(src, f"<scenario:{program.name or 'vm'}>", "exec"), glb)
-        return [glb[f"_b{bi}"] for bi in range(n_blocks)]
+    src = "\n\n".join(_gen_block(program, bi, lo, hi, sites)
+                       for bi, (lo, hi) in enumerate(bounds))
+    glb = {"_ROM": program.rom}
+    glb.update((f"_s{idx}", fn) for idx, fn in sites.items())
+    exec(compile(src, f"<scenario:{program.name or 'vm'}>", "exec"), glb)
 
     sentinel = n_blocks
     edge_ids = {(sentinel << 16) | 0: block_edge_id(sentinel, 0, MAP_SIZE)}
@@ -414,8 +409,10 @@ def compile_program(program: TargetProgram) -> _Compiled:
         for s in _successors(program, bi, lo, hi):
             edge_ids[(bi << 16) | s] = block_edge_id(bi, s, MAP_SIZE)
 
-    lens = [hi - lo for lo, hi in bounds]
-    return _Compiled(fns=build(False), fns_log=build(True), lens=lens,
+    reads = [tuple(ins.operands[1][1] for ins in program.instructions[lo:hi]
+                   if ins.opcode == "READ_REG") for lo, hi in bounds]
+    return _Compiled(fns=[glb[f"_b{bi}"] for bi in range(n_blocks)],
+                     reads=reads, lens=[hi - lo for lo, hi in bounds],
                      edge_ids=edge_ids, sentinel=sentinel)
 
 
@@ -423,6 +420,16 @@ def _get_compiled(program):
     if program._compiled is None:
         program._compiled = compile_program(program)
     return program._compiled
+
+
+def _logged(fn, reads, log):
+    """fn, also appending (cursor, peripheral) for each read it made."""
+    def block(st):
+        c0 = st.cursor
+        nxt = fn(st)
+        log.extend(zip(range(c0, st.cursor), reads))
+        return nxt
+    return block
 
 
 def execute(program: TargetProgram, fuzz_input: FuzzInput,
@@ -434,8 +441,13 @@ def execute(program: TargetProgram, fuzz_input: FuzzInput,
     comp = _get_compiled(program)
     data = fuzz_input.bytes if isinstance(fuzz_input, FuzzInput) else bytes(
         fuzz_input)
-    st = _State(program, data, read_log)
-    fns = comp.fns_log if read_log else comp.fns
+    st = _State(program, data)
+    fns = comp.fns
+    log = None
+    if read_log:
+        log = []
+        fns = [_logged(fn, reads, log) if reads else fn
+               for fn, reads in zip(fns, comp.reads)]
     lens = comp.lens
     # The hot loop only collects raw (prev, cur) transition keys; edge
     # hashes and the block set are derived once afterwards.
@@ -460,5 +472,5 @@ def execute(program: TargetProgram, fuzz_input: FuzzInput,
     blocks = {t & 0xFFFF for t in trans}
     return ExecutionTrace(
         edges=edges, blocks=blocks, comparisons=st.comparisons,
-        read_log=st.rl, exit=exit_reason, final_cursor=st.cursor,
+        read_log=log, exit=exit_reason, final_cursor=st.cursor,
         steps=steps, crash_pc=st.crash_pc, cmp_overflow=st.overflow)

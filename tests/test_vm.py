@@ -142,6 +142,37 @@ def test_read_log_optional(corpus):
     assert t.edges == t2.edges and t.comparisons == t2.comparisons
 
 
+# Block 0 is instructions 0-3 and block 1 is instructions 4-7 (its LABEL
+# counts as a step); r2, the data byte, indexes an 8-byte RAM.
+_TWO_BLOCKS = ('.rom s "a\\0"\n.ram 8\n.periph status\n.periph data\n'
+               '  READ_REG r1, status\n  READ_REG r2, data\n'
+               '  LOAD r3, ram+0, r2\n  JMP next\n'
+               'next:\n  READ_REG r4, status\n  READ_REG r5, data\n  HALT\n')
+
+
+@pytest.mark.parametrize("data,budget,exit_reason,expected", [
+    # Runs to HALT: every read of both blocks.
+    (b"\0\1\2\3", 1000, ExitReason.HALT,
+     [(0, "status"), (1, "data"), (2, "status"), (3, "data")]),
+    # Block 0 crashes in its LOAD (index 9) after both its reads.
+    (b"\0\x09\2\3", 1000, ExitReason.CRASH, [(0, "status"), (1, "data")]),
+    # Block 1's second read finds no input left.
+    (b"\0\1\2", 1000, ExitReason.INPUT_EXHAUSTED,
+     [(0, "status"), (1, "data"), (2, "status")]),
+    # The budget stops the run before block 1 starts.
+    (b"\0\1\2\3", 4, ExitReason.BUDGET_EXHAUSTED,
+     [(0, "status"), (1, "data")]),
+])
+def test_read_log_at_each_exit(data, budget, exit_reason, expected):
+    """The read log holds exactly the reads that ran, however a run ends."""
+    t = run(_TWO_BLOCKS, data, budget=budget)
+    assert t.exit is exit_reason
+    assert t.read_log == expected
+    assert t.final_cursor == len(expected)
+    if exit_reason is ExitReason.CRASH:
+        assert t.crash_pc == 2
+
+
 def test_edge_ids_direction_sensitive():
     assert block_edge_id(1, 2, 1 << 16) != block_edge_id(2, 1, 1 << 16)
 

@@ -1,0 +1,50 @@
+#!/usr/bin/env python3
+"""Print one deterministic line per campaign of the bundled corpus.
+
+Covers every bundled scenario x solver on/off x seeds 1-3 at 20k
+executions.  Each line holds the scenario, the solver arm, the seed, the
+campaign's CampaignStats, the coverage bit count and a SHA-256 of the
+queue.  Two checkouts that behave the same print the same text, so a
+change meant to keep behaviour is checked by diffing this output before
+and after it.  Run from the repository root:
+
+    python tools/campaign_digest.py > digest.txt
+"""
+
+import dataclasses
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from scatterfuzz import Campaign, CampaignConfig, load_corpus  # noqa: E402
+
+EXECUTIONS = 20_000
+SEEDS = (1, 2, 3)
+
+
+def digest_line(scenario, solver, seed):
+    config = CampaignConfig(rng_seed=seed, max_executions=EXECUTIONS,
+                            solver_enabled=solver)
+    campaign = Campaign(scenario.program, config)
+    stats = campaign.run()
+    queue = hashlib.sha256()
+    for entry in campaign.queue:
+        queue.update(len(entry.data).to_bytes(4, "little") + entry.data)
+    arm = "solver-on" if solver else "solver-off"
+    return (f"{scenario.name} {arm} seed{seed} "
+            f"{json.dumps(dataclasses.asdict(stats), sort_keys=True)} "
+            f"bits={campaign.cov.bit_count()} queue={queue.hexdigest()}")
+
+
+def main():
+    for scenario in load_corpus():
+        for solver in (True, False):
+            for seed in SEEDS:
+                print(digest_line(scenario, solver, seed), flush=True)
+
+
+if __name__ == "__main__":
+    main()
