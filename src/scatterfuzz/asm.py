@@ -93,8 +93,7 @@ def parse_scenario(text: str, name: str = "") -> TargetProgram:
             continue
 
         if line.startswith("."):
-            _parse_directive(line, line_no, rom, rom_symbols, periphs,
-                             lambda v: v)
+            _parse_directive(line, line_no, rom, rom_symbols, periphs)
             if line.split()[0] == ".ram":
                 size = _parse_int(line.split()[1], line_no, 0)
                 if ram_size is not None:
@@ -141,7 +140,7 @@ def parse_scenario(text: str, name: str = "") -> TargetProgram:
     return program
 
 
-def _parse_directive(line, line_no, rom, rom_symbols, periphs, _):
+def _parse_directive(line, line_no, rom, rom_symbols, periphs):
     parts = line.split(None, 2)
     head = parts[0]
     if head == ".rom":

@@ -24,7 +24,7 @@ class CmpKey:
     hit_index: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ComparisonRecord:
     cmp_id: int
     hit_index: int

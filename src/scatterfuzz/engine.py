@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import json
 import random
-import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .cmplog import find_record
@@ -37,7 +36,6 @@ _SOLVER_SEED_SALT = 0x534F4C56
 class CampaignConfig:
     rng_seed: int = 0
     max_executions: int = 100_000
-    wall_clock_limit: float | None = None
     solver_enabled: bool = True
     colorization_enabled: bool = True
     length_feedback_enabled: bool = True
@@ -266,7 +264,6 @@ class Campaign:
     # -- main loop --------------------------------------------------------
 
     def run(self) -> CampaignStats:
-        start = time.monotonic()
         try:
             for seed in self.seeds:
                 trace = self._exec(seed, "seed")
@@ -277,10 +274,6 @@ class Campaign:
 
             cursor = 0
             while self.stats.executions < self.config.max_executions:
-                if (self.config.wall_clock_limit is not None
-                        and time.monotonic() - start
-                        >= self.config.wall_clock_limit):
-                    break
                 self._refresh_favored()
                 schedule = ([e for e in self.queue if e.favored]
                             + [e for e in self.queue if not e.favored])
@@ -318,23 +311,11 @@ class Campaign:
         (out / "solver.jsonl").write_text(
             "\n".join(self._solver_lines) + "\n" if self._solver_lines else "")
         (out / "bitmap.bin").write_bytes(self.cov.to_bytes())
-        summary = {
-            "executions": self.stats.executions,
-            "queue_len": self.stats.queue_len,
-            "crashes": self.stats.crashes,
-            "unique_crashes": self.stats.unique_crashes,
-            "unique_blocks": self.stats.unique_blocks,
-            "edges_covered": self.stats.edges_covered,
-            "solved_comparisons": {
-                str(k): v
-                for k, v in sorted(self.stats.solved_comparisons.items())},
-            "solver_attempts": self.stats.solver_attempts,
-            "solver_solved": self.stats.solver_solved,
-            "solver_executions": self.stats.solver_executions,
-            "inconsistent_baselines": self.stats.inconsistent_baselines,
-            "cmp_overflow": self.stats.cmp_overflow,
-            "config": self.config.digest(),
-        }
+        summary = asdict(self.stats)
+        summary["solved_comparisons"] = {
+            str(k): v
+            for k, v in sorted(summary["solved_comparisons"].items())}
+        summary["config"] = self.config.digest()
         (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
 
 

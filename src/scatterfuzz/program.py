@@ -57,10 +57,11 @@ class TargetProgram:
     periphs: tuple[str, ...]
     rom_symbols: dict[str, int] = field(default_factory=dict)
     name: str = ""
-    # filled in by validate()
-    blocks: dict[str, int] = field(default_factory=dict)
-    block_starts: list[int] = field(default_factory=list)
-    _compiled: object = None
+    # filled in by validate() and, on first execution, by the VM
+    blocks: dict[str, int] = field(init=False, repr=False, compare=False)
+    block_starts: list[int] = field(init=False, repr=False, compare=False)
+    _compiled: object = field(default=None, init=False, repr=False,
+                              compare=False)
 
     def __post_init__(self):
         self.validate()
@@ -203,34 +204,16 @@ class TargetProgram:
                 starts.add(idx)
             if ins.opcode in BRANCH_OPS and idx + 1 < len(self.instructions):
                 starts.add(idx + 1)
-        for name, idx in self.blocks.items():
-            starts.add(idx)
         self.block_starts = sorted(starts)
 
-    def block_of(self, instr_index):
-        """Block id (ordinal) containing the given instruction index."""
-        lo, hi = 0, len(self.block_starts) - 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if self.block_starts[mid] <= instr_index:
-                lo = mid
-            else:
-                hi = mid - 1
-        return lo
 
-    def block_count(self):
-        return len(self.block_starts)
-
-
-def block_edge_id(prev_block: int, cur_block: int, map_size: int) -> int:
-    """Hash a directed block transition into a bitmap index.
+def block_edge_id(prev_block: int, cur_block: int) -> int:
+    """Hash a directed block transition into a MAP_SIZE bitmap index.
 
     Stable across runs and platforms; direction sensitive.
     """
-    if map_size & (map_size - 1):
-        raise ValueError("map_size must be a power of two")
     h = (prev_block * 0x9E3779B1 + 0x85EBCA77) & 0xFFFFFFFF
     h ^= (cur_block * 0xC2B2AE3D + 0x27D4EB2F) & 0xFFFFFFFF
     h = ((h ^ (h >> 15)) * 0x2C1B3C6D) & 0xFFFFFFFF
     h ^= h >> 12
-    return h & (map_size - 1)
+    return h & (MAP_SIZE - 1)

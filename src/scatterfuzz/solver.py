@@ -68,20 +68,43 @@ class _Budget(Exception):
 
 
 class _Runner:
-    """Counts executions against a budget on behalf of one solve attempt."""
+    """Runs one solve attempt's executions against its budget."""
 
-    def __init__(self, executor, budget, log=None, key=None):
+    def __init__(self, executor, budget, key, offset, log):
         self.executor = executor
         self.budget = budget
         self.execs = 0
-        self.log = log
         self.key = key
+        self.offset = offset
+        self.log = log
 
     def run(self, data):
         if self.execs >= self.budget:
             raise _Budget
         self.execs += 1
-        return self.executor(FuzzInput(bytes(data)))
+        return find_record(self.executor(FuzzInput(bytes(data))), self.key)
+
+    def probe(self, working, lo, hi, pos, want, value):
+        """The one probe step: find the input byte that feeds observed[pos].
+
+        Each j in [lo, hi) holding ``want`` gets ``value`` written in
+        turn and the target re-runs; the first j whose run shows
+        ``value`` at observed[pos] is returned with that run's record
+        as ``(j, record)``, else ``(None, None)``.  ``working`` is left
+        as it was.
+        """
+        for j in candidate_positions(working, want, lo, hi):
+            working[j] = value
+            rec = self.run(working)
+            working[j] = want
+            if (rec is not None and pos < len(rec.observed)
+                    and rec.observed[pos] == value):
+                return j, rec
+        return None, None
+
+    def result(self, status, mapped, **fields):
+        return SolveResult(status, mapped=mapped, executions_used=self.execs,
+                           alignment_offset=self.offset, **fields)
 
     def event(self, phase, **fields):
         if self.log is not None:
@@ -99,35 +122,31 @@ def solve(program, base_input, key: CmpKey, ideal: bytes, observed: bytes,
     ``executor`` runs the target on a candidate input and returns a
     trace; it may be the VM or an injected test double.
     """
-    base = bytes(base_input.bytes if isinstance(base_input, FuzzInput)
-                 else base_input)
+    base = base_input.bytes
     budget = exec_budget if exec_budget is not None else default_exec_budget(
         len(base))
-    rn = _Runner(executor, budget, log, key)
+    rn = _Runner(executor, budget, key, offset, log)
     try:
-        return _solve_inner(base, key, ideal, observed, rn, offset)
+        return _solve_inner(base, ideal, observed, rn)
     except _Budget:
-        return SolveResult(SolveStatus.BUDGET_EXHAUSTED,
-                           executions_used=rn.execs, alignment_offset=offset)
+        return rn.result(SolveStatus.BUDGET_EXHAUSTED, [])
 
 
-def _solve_inner(base, key, ideal, observed, rn, offset):
-    trace = rn.run(base)
-    rec = find_record(trace, key)
+def _solve_inner(base, ideal, observed, rn):
+    rec = rn.run(base)
     if rec is None or rec.observed_str != observed or rec.ideal_str != ideal:
         raise InconsistentBaseline(
-            f"cmp {key.cmp_id}/{key.hit_index} not reproducible from base input")
+            f"cmp {rn.key.cmp_id}/{rn.key.hit_index} "
+            "not reproducible from base input")
 
     if rec.is_solved():
-        return SolveResult(SolveStatus.SOLVED, executions_used=rn.execs,
-                           solved_input=FuzzInput(base),
-                           alignment_offset=offset)
+        return rn.result(SolveStatus.SOLVED, [], solved_input=FuzzInput(base))
 
     working = bytearray(base)
     last_index = 0
     read_limit = rec.read_cursor
     mapped = []
-    last_rec = rec
+    offset = rn.offset
     ideal_len = len(ideal)
     # Head alignment walks the whole observed string so over-long strings
     # reach the contraction step; tail alignment only covers ideal_len
@@ -138,35 +157,22 @@ def _solve_inner(base, key, ideal, observed, rn, offset):
     while pos < limit:
         if pos - offset >= ideal_len:
             # Observed string is longer than ideal: contract it.
-            return _contract(working, key, observed, pos, rn, last_index,
-                             read_limit, mapped, offset)
+            return _contract(working, observed, pos, rn, last_index,
+                             read_limit, mapped)
         target = ideal[pos - offset]
-        want = observed[pos]
-        found = False
-        for j in range(last_index, read_limit):
-            if working[j] != want:
-                continue
-            old = working[j]
-            working[j] = target
-            trace = rn.run(working)
-            new_rec = find_record(trace, key)
-            if (new_rec is not None and pos < len(new_rec.observed)
-                    and new_rec.observed[pos] == target):
-                last_index = j + 1
-                read_limit = new_rec.read_cursor
-                mapped.append((pos, j))
-                last_rec = new_rec
-                found = True
-                rn.event("map", i=pos, j=j, outcome="locked")
-                break
-            working[j] = old
-        if not found:
+        j, rec = rn.probe(working, last_index, read_limit, pos,
+                          observed[pos], target)
+        if j is None:
             rn.event("map", i=pos, j=None, outcome="unmapped")
-            return SolveResult(SolveStatus.UNMAPPED_BYTE, mapped=mapped,
-                               executions_used=rn.execs, unmapped_index=pos,
-                               alignment_offset=offset)
+            return rn.result(SolveStatus.UNMAPPED_BYTE, mapped,
+                             unmapped_index=pos)
+        working[j] = target
+        last_index = j + 1
+        read_limit = rec.read_cursor
+        mapped.append((pos, j))
+        rn.event("map", i=pos, j=j, outcome="locked")
         pos += 1
-        if last_rec.is_solved():
+        if rec.is_solved():
             # The comparison passes already (e.g. STRSTR found the
             # needle); mapping on or contracting would only spend runs.
             break
@@ -174,63 +180,38 @@ def _solve_inner(base, key, ideal, observed, rn, offset):
     # All targeted positions locked, or the comparison passed early; the
     # trace of the final working input doubles as the verification
     # execution (execution is deterministic).
-    if last_rec.is_solved():
+    if rec.is_solved():
         rn.event("map", i=None, j=None, outcome="solved")
-        return SolveResult(SolveStatus.SOLVED, mapped=mapped,
-                           executions_used=rn.execs,
-                           solved_input=FuzzInput(bytes(working)),
-                           alignment_offset=offset)
+        return rn.result(SolveStatus.SOLVED, mapped,
+                         solved_input=FuzzInput(bytes(working)))
     rn.event("map", i=None, j=None, outcome="verify_failed")
-    return SolveResult(SolveStatus.NOT_REACHED, mapped=mapped,
-                       executions_used=rn.execs, alignment_offset=offset)
+    return rn.result(SolveStatus.NOT_REACHED, mapped)
 
 
-def _contract(working, key, observed, pos, rn, last_index, read_limit,
-              mapped, offset):
+def _contract(working, observed, pos, rn, last_index, read_limit, mapped):
     """Shorten an over-long observed string with a token delimiter.
 
-    Locates the input byte feeding observed[pos] with the same
-    scan-and-verify loop used for mapping (a sentinel write must be seen
-    to change that position), then tries each delimiter there.
+    Locates the input byte feeding observed[pos] with the probe step
+    mapping uses (a sentinel write must be seen at that position), then
+    tries each delimiter there.
     """
     want = observed[pos]
-    located = None
-    for j in range(last_index, read_limit):
-        if working[j] != want:
-            continue
-        old = working[j]
-        sentinel = old ^ 0xA5
-        working[j] = sentinel
-        trace = rn.run(working)
-        rec = find_record(trace, key)
-        working[j] = old
-        if (rec is not None and pos < len(rec.observed)
-                and rec.observed[pos] == sentinel):
-            located = j
-            break
-    if located is None:
+    j, _ = rn.probe(working, last_index, read_limit, pos, want, want ^ 0xA5)
+    if j is None:
         rn.event("contract", i=pos, j=None, outcome="not_located")
-        return SolveResult(SolveStatus.CONTRACTION_TRIED, mapped=mapped,
-                           executions_used=rn.execs, unmapped_index=pos,
-                           alignment_offset=offset)
+        return rn.result(SolveStatus.CONTRACTION_TRIED, mapped,
+                         unmapped_index=pos)
 
-    old = working[located]
     for delim in DEFAULT_DELIMITERS:
-        working[located] = delim
-        trace = rn.run(working)
-        rec = find_record(trace, key)
+        working[j] = delim
+        rec = rn.run(working)
         if rec is not None and rec.is_solved():
-            rn.event("contract", i=pos, j=located, outcome="solved")
-            return SolveResult(SolveStatus.SOLVED,
-                               mapped=mapped + [(pos, located)],
-                               executions_used=rn.execs,
-                               solved_input=FuzzInput(bytes(working)),
-                               alignment_offset=offset)
-    working[located] = old
-    rn.event("contract", i=pos, j=located, outcome="exhausted")
-    return SolveResult(SolveStatus.CONTRACTION_TRIED, mapped=mapped,
-                       executions_used=rn.execs, unmapped_index=pos,
-                       alignment_offset=offset)
+            rn.event("contract", i=pos, j=j, outcome="solved")
+            return rn.result(SolveStatus.SOLVED, mapped + [(pos, j)],
+                             solved_input=FuzzInput(bytes(working)))
+    rn.event("contract", i=pos, j=j, outcome="exhausted")
+    return rn.result(SolveStatus.CONTRACTION_TRIED, mapped,
+                     unmapped_index=pos)
 
 
 def solve_with_alignments(program, base_input, key, record, executor, *,
@@ -262,8 +243,7 @@ def colorize(program, base_input, key, executor, rng, *,
     in half whenever the replacement stops the trace from containing the
     record at key.  Returns base_input unchanged if nothing colors.
     """
-    base = bytes(base_input.bytes if isinstance(base_input, FuzzInput)
-                 else base_input)
+    base = base_input.bytes
     work = bytearray(base)
     stack = [(0, len(work))]
     execs = 0
@@ -301,8 +281,7 @@ def naive_search(program, base_input, key, record, executor,
     strictly increasing, since two string characters cannot map to one
     input byte.
     """
-    base = bytes(base_input.bytes if isinstance(base_input, FuzzInput)
-                 else base_input)
+    base = base_input.bytes
     observed = record.observed_str
     ideal = record.ideal_str
     n = min(len(observed), len(ideal))

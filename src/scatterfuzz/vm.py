@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 from .cmplog import MAX_CMP_SITES, MAX_HITS_PER_SITE, ComparisonRecord
 from .coverage import strlen_bounded
-from .program import (DEFAULT_INSTR_BUDGET, MAP_SIZE, MAX_STRLEN, RAM_BASE,
-                      ROM_BASE, FuzzInput, TargetProgram, block_edge_id)
+from .program import (DEFAULT_INSTR_BUDGET, MAX_STRLEN, RAM_BASE, ROM_BASE,
+                      FuzzInput, TargetProgram, block_edge_id)
 
 
 class ExitReason(enum.Enum):
@@ -245,7 +245,12 @@ def _operand_expr(o):
     return str(val)
 
 
-def _gen_block(program, bi, start, end, sites):
+def _gen_block(program, bi, start, end, sites, ordinal):
+    """Source of block bi and the set of blocks it can return to.
+
+    ``ordinal`` maps each block's first instruction index to its block
+    id, which is where a label's target is looked up.
+    """
     ins_list = program.instructions
     rom_len = len(program.rom)
     ram_size = program.ram_size
@@ -258,7 +263,7 @@ def _gen_block(program, bi, start, end, sites):
     def emit(s):
         lines.append("    " + s)
 
-    next_block = None
+    succ = set()
     fell_through = True
     for idx in range(start, end):
         ins = ins_list[idx]
@@ -284,12 +289,14 @@ def _gen_block(program, bi, start, end, sites):
             emit(f"r[{ops[0][1]}] = 0 if r[{ops[1][1]}] == "
                  f"{_operand_expr(ops[2])} else 1")
         elif op in ("BZ", "BNZ"):
-            target = program.block_of(program.blocks[ops[1][1]])
+            target = ordinal[program.blocks[ops[1][1]]]
+            succ.add(target)
             test = "==" if op == "BZ" else "!="
             emit(f"if r[{ops[0][1]}] {test} 0:")
             emit(f"    return {target}")
         elif op == "JMP":
-            target = program.block_of(program.blocks[ops[0][1]])
+            target = ordinal[program.blocks[ops[0][1]]]
+            succ.add(target)
             emit(f"return {target}")
             fell_through = False
         elif op == "LOAD":
@@ -359,29 +366,11 @@ def _gen_block(program, bi, start, end, sites):
             raise AssertionError(op)
 
     if fell_through:
-        next_block = bi + 1
-        emit(f"return {next_block}")
-    if len(lines) == 2 or (len(lines) == 3 and uses_ram):
-        # Block of only LABELs still needs a body.
-        emit(f"return {bi + 1}")
-    return "\n".join(lines)
-
-
-def _successors(program, bi, start, end):
-    succ = set()
-    terminal = False
-    for idx in range(start, end):
-        ins = program.instructions[idx]
-        if ins.opcode in ("BZ", "BNZ"):
-            succ.add(program.block_of(program.blocks[ins.operands[1][1]]))
-        elif ins.opcode == "JMP":
-            succ.add(program.block_of(program.blocks[ins.operands[0][1]]))
-            terminal = True
-        elif ins.opcode in ("HALT", "CRASH"):
-            terminal = True
-    if not terminal and bi + 1 < program.block_count():
+        # Validation ends the program with HALT/CRASH/JMP, so a block
+        # that falls through always has a next block.
         succ.add(bi + 1)
-    return succ
+        emit(f"return {bi + 1}")
+    return "\n".join(lines), succ
 
 
 def compile_program(program: TargetProgram) -> _Compiled:
@@ -397,17 +386,19 @@ def compile_program(program: TargetProgram) -> _Compiled:
         if ins.opcode == "CALL" and ops[1][0] == ops[2][0] == "imm":
             sites[idx] = _site(program, idx, ops[0][1], ops[1][1], ops[2][1])
 
-    src = "\n\n".join(_gen_block(program, bi, lo, hi, sites)
-                       for bi, (lo, hi) in enumerate(bounds))
+    ordinal = {lo: bi for bi, (lo, _) in enumerate(bounds)}
+    blocks = [_gen_block(program, bi, lo, hi, sites, ordinal)
+              for bi, (lo, hi) in enumerate(bounds)]
+    src = "\n\n".join(block_src for block_src, _ in blocks)
     glb = {"_ROM": program.rom}
     glb.update((f"_s{idx}", fn) for idx, fn in sites.items())
     exec(compile(src, f"<scenario:{program.name or 'vm'}>", "exec"), glb)
 
     sentinel = n_blocks
-    edge_ids = {(sentinel << 16) | 0: block_edge_id(sentinel, 0, MAP_SIZE)}
-    for bi, (lo, hi) in enumerate(bounds):
-        for s in _successors(program, bi, lo, hi):
-            edge_ids[(bi << 16) | s] = block_edge_id(bi, s, MAP_SIZE)
+    edge_ids = {(sentinel << 16) | 0: block_edge_id(sentinel, 0)}
+    for bi, (_, succ) in enumerate(blocks):
+        for s in succ:
+            edge_ids[(bi << 16) | s] = block_edge_id(bi, s)
 
     reads = [tuple(ins.operands[1][1] for ins in program.instructions[lo:hi]
                    if ins.opcode == "READ_REG") for lo, hi in bounds]

@@ -2,6 +2,7 @@
 
 import pytest
 
+from scatterfuzz import FuzzInput, execute
 from scatterfuzz.asm import parse_scenario, serialize
 from scatterfuzz.errors import (DuplicateLabel, MalformedProgram, ParseError,
                                 UnknownLabel)
@@ -109,3 +110,12 @@ def test_serialize_round_trip(corpus):
         assert q.ram_size == p.ram_size
         assert q.periphs == p.periphs
         assert q.instructions == p.instructions
+
+
+def test_equality_survives_execution(corpus):
+    text = serialize(corpus["modem_ok"].program)
+    p = parse_scenario(text, name="modem_ok")
+    q = parse_scenario(text, name="modem_ok")
+    assert p == q
+    execute(p, FuzzInput(b"AT"))
+    assert p == q

@@ -37,6 +37,8 @@ def test_quad_candidates_guided_vs_naive(corpus, get_key):
     res = solve(program, fi, key, rec.ideal_str, rec.observed_str, executor)
     assert res.status is SolveStatus.SOLVED
     assert res.executions_used <= 16 + 1
+    # Rejected candidates are restored; only the locked bytes change.
+    assert res.solved_input.bytes == b"AAAWBBBXCCCYDDDZ"
     nres = naive_search(program, fi, key, rec, executor, combo_budget=1000)
     assert nres.combination_count == 256
     assert nres.status is SolveStatus.SOLVED
@@ -228,6 +230,24 @@ def test_colorization_reduces_candidates(corpus, get_key):
     assert wins >= 4
 
 
+def test_contraction_skips_decoy_byte():
+    """A surplus character's value at a position that does not feed it.
+
+    The sentinel write at 4 leaves observed[2] unchanged, so contraction
+    passes over it and cuts the string at its source, 5.
+    """
+    inst = SyntheticInstance(base=b"qaqbcc", sources=(1, 3, 5),
+                             ideal=b"XY", read_cursor=6)
+    executor = make_executor(inst)
+    fi = FuzzInput(inst.base)
+    res = solve_with_alignments(None, fi, inst.key,
+                                executor(fi).comparisons[0], executor)
+    assert res.status is SolveStatus.SOLVED
+    assert res.mapped == [(0, 1), (1, 3), (2, 5)]
+    assert res.solved_input.bytes == b"qXqYc\x00"
+    assert res.executions_used == 10
+
+
 def test_synthetic_oracle_spot_checks():
     inst = SyntheticInstance(base=b"qaqbqc", sources=(1, 3, 5),
                              ideal=b"XYZ", read_cursor=6)
@@ -245,3 +265,33 @@ def test_synthetic_oracle_spot_checks():
                                   make_executor(blocked))
     assert res_b.status is not SolveStatus.SOLVED
     assert not brute_force_solvable(blocked)
+
+
+@pytest.mark.parametrize("name, label, data, status, mapped, offset, events", [
+    ("contract_ok", "cmp_ok", b"wxyz", SolveStatus.SOLVED,
+     [(0, 0), (1, 1), (2, 2)], 0,
+     [("map", 2, 0, 0, "locked"), ("map", 3, 1, 1, "locked"),
+      ("contract", 9, 2, 2, "solved")]),
+    ("print_fp", "cmp_print", b"qq", SolveStatus.UNMAPPED_BYTE, [], 0,
+     [("map", 1, 0, None, "unmapped")]),
+    ("suffix_ok", "cmp_find", b"ab", SolveStatus.SOLVED, [(2, 0), (3, 1)], 2,
+     [("map", 1, 0, None, "unmapped"), ("map", 2, 2, 0, "locked"),
+      ("map", 3, 3, 1, "locked"), ("map", 3, None, None, "solved")]),
+])
+def test_alignment_event_log(get_key, name, label, data, status, mapped,
+                             offset, events):
+    """Mapping, contraction and tail alignment, event by event."""
+    program, key = get_key(name, label)
+    fi = FuzzInput(data)
+    rec = find_record(execute(program, fi), key)
+    log = []
+    res = solve_with_alignments(program, fi, key, rec,
+                                lambda f: execute(program, f),
+                                log=log.append)
+    assert res.status is status
+    assert res.mapped == mapped
+    assert res.alignment_offset == offset
+    assert res.executions_used == events[-1][1]
+    assert log == [{"key": [key.cmp_id, 0], "phase": phase, "execs": execs,
+                    "i": i, "j": j, "outcome": outcome}
+                   for phase, execs, i, j, outcome in events]

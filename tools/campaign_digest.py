@@ -3,10 +3,11 @@
 
 Covers every bundled scenario x solver on/off x seeds 1-3 at 20k
 executions.  Each line holds the scenario, the solver arm, the seed, the
-campaign's CampaignStats, the coverage bit count and a SHA-256 of the
-queue.  Two checkouts that behave the same print the same text, so a
-change meant to keep behaviour is checked by diffing this output before
-and after it.  Run from the repository root:
+campaign's CampaignStats, the coverage bit count, a SHA-256 of the
+queue and one SHA-256 each over the campaign's stats.jsonl and
+solver.jsonl lines.  Two checkouts that behave the same print the same
+text, so a change meant to keep behaviour is checked by diffing this
+output before and after it.  Run from the repository root:
 
     python tools/campaign_digest.py > digest.txt
 """
@@ -36,7 +37,15 @@ def digest_line(scenario, solver, seed):
     arm = "solver-on" if solver else "solver-off"
     return (f"{scenario.name} {arm} seed{seed} "
             f"{json.dumps(dataclasses.asdict(stats), sort_keys=True)} "
-            f"bits={campaign.cov.bit_count()} queue={queue.hexdigest()}")
+            f"bits={campaign.cov.bit_count()} queue={queue.hexdigest()} "
+            f"stats={lines_digest(campaign._stats_lines)} "
+            f"solver={lines_digest(campaign._solver_lines)}")
+
+
+def lines_digest(lines):
+    """SHA-256 of a line stream as the campaign directory stores it."""
+    return hashlib.sha256("".join(f"{line}\n" for line in lines)
+                          .encode()).hexdigest()
 
 
 def main():
