@@ -17,8 +17,6 @@ from .program import (BUILTINS, NUM_REGS, RAM_BASE, ROM_BASE, Instruction,
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
 
 _ESCAPES = {"0": 0, "n": 0x0A, "r": 0x0D, "t": 0x09, "\\": 0x5C, '"': 0x22}
-_UNESCAPES = {0: "\\0", 0x0A: "\\n", 0x0D: "\\r", 0x09: "\\t",
-              0x5C: "\\\\", 0x22: '\\"'}
 
 
 def _decode_rom_string(text, line_no):
@@ -47,18 +45,6 @@ def _decode_rom_string(text, line_no):
             out.append(ord(c))
             i += 1
     return bytes(out)
-
-
-def _encode_rom_string(data):
-    parts = []
-    for b in data:
-        if b in _UNESCAPES:
-            parts.append(_UNESCAPES[b])
-        elif 0x20 <= b < 0x7F:
-            parts.append(chr(b))
-        else:
-            parts.append(f"\\x{b:02x}")
-    return "".join(parts)
 
 
 def _parse_int(tok, line_no, col):
@@ -134,7 +120,6 @@ def parse_scenario(text: str, name: str = "") -> TargetProgram:
         rom=bytes(rom),
         ram_size=ram_size,
         periphs=tuple(periphs),
-        rom_symbols=dict(rom_symbols),
         name=name,
     )
     return program
@@ -215,40 +200,3 @@ def _parse_instruction(line, line_no, rom_symbols, periphs):
         return Instruction(op, tuple(operand(i) for i in range(len(toks))))
     except IndexError:
         raise ParseError(f"{op}: missing operands", line_no, 0) from None
-
-
-def serialize(program: TargetProgram) -> str:
-    """Render a program back to scenario assembly text."""
-    lines = []
-    addr_to_sym = {}
-    # Reconstruct .rom directives from symbol offsets, in address order.
-    syms = sorted(program.rom_symbols.items(), key=lambda kv: kv[1])
-    for i, (sym, addr) in enumerate(syms):
-        end = syms[i + 1][1] if i + 1 < len(syms) else ROM_BASE + len(program.rom)
-        data = program.rom[addr - ROM_BASE:end - ROM_BASE]
-        lines.append(f'.rom {sym} "{_encode_rom_string(data)}"')
-        addr_to_sym[addr] = sym
-    lines.append(f".ram {program.ram_size}")
-    for p in program.periphs:
-        lines.append(f".periph {p}")
-    lines.append("")
-
-    def fmt(o):
-        kind, val = o
-        if kind == "reg":
-            return f"r{val}"
-        if kind == "imm":
-            if val in addr_to_sym:
-                return addr_to_sym[val]
-            if program.in_ram(val):
-                return f"ram+{val - RAM_BASE}"
-            return str(val) if -256 < val < 256 else hex(val)
-        return str(val)
-
-    for ins in program.instructions:
-        if ins.opcode == "LABEL":
-            lines.append(f"{ins.operands[0][1]}:")
-        else:
-            ops = ", ".join(fmt(o) for o in ins.operands)
-            lines.append(f"  {ins.opcode} {ops}".rstrip())
-    return "\n".join(lines) + "\n"

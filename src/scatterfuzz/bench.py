@@ -9,10 +9,10 @@ render as ">budget" and never enter a numeric aggregate.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from .engine import CampaignConfig, run_campaign
+from .errors import ConfigError
 from .mwu import mann_whitney_u
 
 DEFAULT_BENCH_EXECS = 20_000
@@ -90,9 +90,21 @@ def _render(value, budget):
 
 
 def config_from_switches(switches: dict, seed: int) -> CampaignConfig:
+    """One matrix entry as a campaign config; ConfigError if malformed."""
+    if not isinstance(switches, dict):
+        raise ConfigError(f"matrix entry {switches!r} is not an object")
+    unknown = sorted(set(switches) - set(SWITCH_KEYS))
+    if unknown:
+        raise ConfigError(f"unknown matrix switches {unknown}")
+    for key in ("solver", "color", "lenfb"):
+        if not isinstance(switches.get(key, True), bool):
+            raise ConfigError(f"matrix switch {key!r} must be true or false")
+    execs = switches.get("execs", DEFAULT_BENCH_EXECS)
+    if isinstance(execs, bool) or not isinstance(execs, int):
+        raise ConfigError("matrix switch 'execs' must be an integer")
     return CampaignConfig(
         rng_seed=seed,
-        max_executions=switches.get("execs", DEFAULT_BENCH_EXECS),
+        max_executions=execs,
         solver_enabled=switches.get("solver", True),
         colorization_enabled=switches.get("color", True),
         length_feedback_enabled=switches.get("lenfb", True),
@@ -116,24 +128,23 @@ def run_bench(scenarios, trials: int, config_matrix) -> list[TrialReport]:
     """Run trials x configs campaigns per scenario, RNG seeds 1..trials."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    # The whole matrix is checked before the first campaign runs.
+    if not isinstance(config_matrix, list):
+        raise ConfigError("config matrix must be a list of switch objects")
+    arms = [(switches, config_from_switches(switches, 0))
+            for switches in config_matrix]
     reports = []
     for scenario in scenarios:
-        for switches in config_matrix:
-            budget = switches.get("execs", DEFAULT_BENCH_EXECS)
+        for switches, config in arms:
             report_obj = TrialReport(
                 scenario=scenario.name,
                 category=scenario.category,
-                config_digest=config_from_switches(switches, 0).digest(),
-                budget=budget)
+                config_digest=config.digest(),
+                budget=config.max_executions)
             for seed in range(1, trials + 1):
                 report_obj.trials.append(run_trial(scenario, switches, seed))
             reports.append(report_obj)
     return reports
-
-
-def compare_block_coverage(report_a: TrialReport, report_b: TrialReport):
-    """Mann-Whitney U on final block counts of two config arms."""
-    return mann_whitney_u(report_a.block_counts(), report_b.block_counts())
 
 
 def report(reports) -> tuple[str, dict]:
@@ -171,14 +182,16 @@ def report(reports) -> tuple[str, dict]:
             "crashes": [t.crashes for t in rep.trials],
         })
 
-    # Pairwise ablation deltas: same scenario, different switch sets.
+    # Pairwise ablation deltas: same scenario, different switch sets,
+    # Mann-Whitney U on the final block counts.
     by_scenario = {}
     for rep in reports:
         by_scenario.setdefault(rep.scenario, []).append(rep)
     for name, group in by_scenario.items():
         for i in range(len(group)):
             for j in range(i + 1, len(group)):
-                res = compare_block_coverage(group[i], group[j])
+                res = mann_whitney_u(group[i].block_counts(),
+                                     group[j].block_counts())
                 lines.append(
                     f"mwu {name}: {group[i].config_digest} vs "
                     f"{group[j].config_digest}: U={res.u} "

@@ -18,6 +18,7 @@ from . import bench as bench_mod
 from .cmplog import CmpKey, find_record
 from .corpus import label_to_cmp_id, load_corpus, load_scenario
 from .engine import CampaignConfig, run_campaign
+from .errors import ConfigError
 from .program import FuzzInput
 from .solver import solve_with_alignments
 from .vm import execute
@@ -90,7 +91,10 @@ def cmd_fuzz(args):
 def cmd_bench(args):
     scenarios = load_corpus(args.corpus)
     if args.matrix:
-        matrix = json.loads(Path(args.matrix).read_text())
+        try:
+            matrix = json.loads(Path(args.matrix).read_text())
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"--matrix {args.matrix}: {exc}") from None
     else:
         matrix = [{"solver": True}, {"solver": False}]
     reports = bench_mod.run_bench(scenarios, args.trials, matrix)
@@ -109,10 +113,8 @@ def cmd_solve(args):
     scenario = load_scenario(args.scenario)
     program = scenario.program
     cmp_id = label_to_cmp_id(program, args.cmp)
-    data = Path(args.input_file).read_bytes()
-    trace = execute(program, FuzzInput(data))
-    key = CmpKey(cmp_id, 0)
-    rec = find_record(trace, key)
+    base = FuzzInput(Path(args.input_file).read_bytes())
+    rec = find_record(execute(program, base), CmpKey(cmp_id, 0))
     if rec is None:
         print(f"input does not reach comparison {args.cmp!r} "
               f"(call site {cmp_id})", file=sys.stderr)
@@ -120,8 +122,7 @@ def cmd_solve(args):
 
     events = []
     result = solve_with_alignments(
-        program, FuzzInput(data), key, rec,
-        lambda fi: execute(program, fi), log=events.append)
+        rec, base, lambda fi: execute(program, fi), log=events.append)
     for ev in events:
         print(json.dumps(ev))
     print(f"status: {result.status.value}")

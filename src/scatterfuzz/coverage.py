@@ -90,15 +90,3 @@ class CoverageMap:
         for b in self._bits:
             out[b >> 3] |= 1 << (b & 7)
         return bytes(out)
-
-    @classmethod
-    def from_bytes(cls, raw: bytes) -> "CoverageMap":
-        if len(raw) != MAP_SIZE // 8:
-            raise ValueError("bitmap must be exactly 8 KiB")
-        m = cls()
-        for i, byte in enumerate(raw):
-            while byte:
-                low = byte & -byte
-                m._bits.add((i << 3) | low.bit_length() - 1)
-                byte ^= low
-        return m

@@ -56,16 +56,12 @@ class CampaignConfig:
 
 @dataclass
 class QueueEntry:
-    input: FuzzInput
+    data: bytes
     entry_id: int
     via: str                        # "seed", "havoc", or "solver"
     edges: frozenset = frozenset()
     solver_done: set = field(default_factory=set)
     favored: bool = False
-
-    @property
-    def data(self) -> bytes:
-        return self.input.bytes
 
 
 @dataclass
@@ -118,8 +114,8 @@ class Campaign:
         """Run one input, account it, and track crashes and solved sites."""
         if self.stats.executions >= self.config.max_executions:
             raise _CampaignDone
-        trace = execute(self.program, FuzzInput(data),
-                        budget=self.config.instr_budget, read_log=False)
+        trace = execute(self.program, data, budget=self.config.instr_budget,
+                        read_log=False)
         self.stats.executions += 1
         self.stats.cmp_overflow += trace.cmp_overflow
         self.blocks_seen |= trace.blocks
@@ -151,8 +147,8 @@ class Campaign:
     # -- queue management -------------------------------------------------
 
     def _enqueue(self, data: bytes, via: str, edges) -> QueueEntry:
-        entry = QueueEntry(input=FuzzInput(data), entry_id=len(self.queue),
-                           via=via, edges=frozenset(edges))
+        entry = QueueEntry(data=data, entry_id=len(self.queue), via=via,
+                           edges=frozenset(edges))
         self.queue.append(entry)
         self.stats.queue_len = len(self.queue)
         return entry
@@ -202,17 +198,15 @@ class Campaign:
 
             try:
                 if self.config.colorization_enabled:
-                    base = colorize(self.program, base, rec.key,
-                                    self._solver_executor, self.solver_rng,
-                                    log=emit)
+                    base = colorize(rec, base, self._solver_executor,
+                                    self.solver_rng, log=emit)
                     colored_trace = self._solver_executor(base)
                     rec2 = find_record(colored_trace, rec.key)
                     if rec2 is None:
                         base, rec2 = FuzzInput(entry.data), rec
                     rec = rec2
                 result = solve_with_alignments(
-                    self.program, base, rec.key, rec, self._solver_executor,
-                    log=emit)
+                    rec, base, self._solver_executor, log=emit)
             except InconsistentBaseline:
                 self.stats.inconsistent_baselines += 1
                 continue

@@ -45,9 +45,6 @@ class Instruction:
 class FuzzInput:
     bytes: bytes
 
-    def __len__(self):
-        return len(self.bytes)
-
 
 @dataclass
 class TargetProgram:
@@ -55,7 +52,6 @@ class TargetProgram:
     rom: bytes
     ram_size: int
     periphs: tuple[str, ...]
-    rom_symbols: dict[str, int] = field(default_factory=dict)
     name: str = ""
     # filled in by validate() and, on first execution, by the VM
     blocks: dict[str, int] = field(init=False, repr=False, compare=False)

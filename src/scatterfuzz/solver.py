@@ -16,7 +16,7 @@ import enum
 import math
 from dataclasses import dataclass, field
 
-from .cmplog import CmpKey, find_record
+from .cmplog import ComparisonRecord, find_record
 from .errors import InconsistentBaseline
 from .program import FuzzInput
 
@@ -70,11 +70,12 @@ class _Budget(Exception):
 class _Runner:
     """Runs one solve attempt's executions against its budget."""
 
-    def __init__(self, executor, budget, key, offset, log):
+    def __init__(self, executor, budget, record, offset, log):
         self.executor = executor
         self.budget = budget
         self.execs = 0
-        self.key = key
+        self.record = record
+        self.key = record.key
         self.offset = offset
         self.log = log
 
@@ -112,27 +113,30 @@ class _Runner:
                       "phase": phase, "execs": self.execs, **fields})
 
 
-def solve(program, base_input, key: CmpKey, ideal: bytes, observed: bytes,
-          executor, *, exec_budget=None, offset=0, log=None) -> SolveResult:
-    """Map ideal onto the observed string's bytes until the comparison passes.
+def solve(record: ComparisonRecord, base_input, executor, *,
+          exec_budget=None, offset=0, log=None) -> SolveResult:
+    """Map the record's ideal string onto its observed string's bytes.
 
-    ``observed``/``ideal`` are the logical strings (no terminator) from a
-    prior trace of ``base_input``.  ``offset`` aligns ideal onto the
-    observed buffer starting at that position (0 = head alignment).
-    ``executor`` runs the target on a candidate input and returns a
-    trace; it may be the VM or an injected test double.
+    ``record`` comes from a prior trace of ``base_input`` and names the
+    comparison (its key) and both logical strings (no terminator).
+    ``offset`` aligns ideal onto the observed buffer starting at that
+    position (0 = head alignment).  ``executor`` runs the target on a
+    candidate input and returns a trace; it may be the VM or an injected
+    test double.
     """
     base = base_input.bytes
     budget = exec_budget if exec_budget is not None else default_exec_budget(
         len(base))
-    rn = _Runner(executor, budget, key, offset, log)
+    rn = _Runner(executor, budget, record, offset, log)
     try:
-        return _solve_inner(base, ideal, observed, rn)
+        return _solve_inner(base, rn)
     except _Budget:
         return rn.result(SolveStatus.BUDGET_EXHAUSTED, [])
 
 
-def _solve_inner(base, ideal, observed, rn):
+def _solve_inner(base, rn):
+    observed = rn.record.observed_str
+    ideal = rn.record.ideal_str
     rec = rn.run(base)
     if rec is None or rec.observed_str != observed or rec.ideal_str != ideal:
         raise InconsistentBaseline(
@@ -214,35 +218,33 @@ def _contract(working, observed, pos, rn, last_index, read_limit, mapped):
                      unmapped_index=pos)
 
 
-def solve_with_alignments(program, base_input, key, record, executor, *,
+def solve_with_alignments(record: ComparisonRecord, base_input, executor, *,
                           log=None) -> SolveResult:
     """Try head alignment, then tail alignment for nested substring checks.
 
     Returns the first Solved result, else the attempt that locked more
     positions (ties favor head alignment).
     """
-    observed = record.observed_str
-    ideal = record.ideal_str
-    head = solve(program, base_input, key, ideal, observed, executor,
-                 log=log)
-    if head.status is SolveStatus.SOLVED or len(observed) <= len(ideal):
+    surplus = len(record.observed_str) - len(record.ideal_str)
+    head = solve(record, base_input, executor, log=log)
+    if head.status is SolveStatus.SOLVED or surplus <= 0:
         return head
-    tail_offset = len(observed) - len(ideal)
-    tail = solve(program, base_input, key, ideal, observed, executor,
-                 offset=tail_offset, log=log)
+    tail = solve(record, base_input, executor, offset=surplus, log=log)
     if tail.status is SolveStatus.SOLVED:
         return tail
     return tail if len(tail.mapped) > len(head.mapped) else head
 
 
-def colorize(program, base_input, key, executor, rng, *,
+def colorize(record: ComparisonRecord, base_input, executor, rng, *,
              log=None) -> FuzzInput:
     """Raise input entropy while keeping the targeted comparison reachable.
 
     Greedily replaces maximal spans with random bytes, splitting a span
-    in half whenever the replacement stops the trace from containing the
-    record at key.  Returns base_input unchanged if nothing colors.
+    in half whenever the replacement stops the trace from containing a
+    record at the given record's key.  Returns base_input unchanged if
+    nothing colors.
     """
+    key = record.key
     base = base_input.bytes
     work = bytearray(base)
     stack = [(0, len(work))]
@@ -271,8 +273,8 @@ def colorize(program, base_input, key, executor, rng, *,
     return FuzzInput(bytes(work))
 
 
-def naive_search(program, base_input, key, record, executor,
-                 combo_budget: int, *, log=None) -> NaiveSearchResult:
+def naive_search(record: ComparisonRecord, base_input, executor,
+                 combo_budget: int) -> NaiveSearchResult:
     """Baseline: try the Cartesian product of candidate replacements.
 
     The reported combination count is the product of per-character
@@ -304,7 +306,7 @@ def naive_search(program, base_input, key, record, executor,
                                          executions_used=execs)
             execs += 1
             trace = executor(FuzzInput(data))
-            rec = find_record(trace, key)
+            rec = find_record(trace, record.key)
             if rec is not None and rec.is_solved():
                 return NaiveSearchResult(SolveStatus.SOLVED, count,
                                          executions_used=execs,

@@ -11,7 +11,7 @@ oracle for solver equivalence small and exact.
 import itertools
 from dataclasses import dataclass
 
-from scatterfuzz.cmplog import CmpKey, ComparisonRecord
+from scatterfuzz.cmplog import ComparisonRecord
 from scatterfuzz.coverage import strlen_bounded
 from scatterfuzz.program import FuzzInput
 
@@ -27,10 +27,6 @@ class SyntheticInstance:
     sources: tuple          # strictly increasing input positions
     ideal: bytes
     read_cursor: int
-
-    @property
-    def key(self):
-        return CmpKey(0, 0)
 
 
 def make_executor(inst: SyntheticInstance):

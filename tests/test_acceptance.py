@@ -51,8 +51,8 @@ def test_criterion_1_quad_combinatorics(corpus):
     program, key = keyed(corpus, "quad_wxyz", "cmp_wxyz")
     fi, rec = baseline(program, key, b"AAAABBBBCCCCDDDD")
     executor = lambda f: execute(program, f)
-    nres = naive_search(program, fi, key, rec, executor, combo_budget=1000)
-    sres = solve(program, fi, key, rec.ideal_str, rec.observed_str, executor)
+    nres = naive_search(rec, fi, executor, combo_budget=1000)
+    sres = solve(rec, fi, executor)
     elapsed = time.monotonic() - t0
     ok = (nres.combination_count == 256
           and sres.status is SolveStatus.SOLVED
@@ -80,10 +80,8 @@ def test_criterion_2_example_blowups(corpus):
         program, key = keyed(corpus, name, label)
         fi, rec = baseline(program, key, data)
         executor = lambda f: execute(program, f)
-        nres = naive_search(program, fi, key, rec, executor,
-                            combo_budget=10_000)
-        sres = solve(program, fi, key, rec.ideal_str, rec.observed_str,
-                     executor)
+        nres = naive_search(rec, fi, executor, combo_budget=10_000)
+        sres = solve(rec, fi, executor)
         elapsed = time.monotonic() - t0
         ok &= (nres.combination_count == want_count
                and nres.status is SolveStatus.BUDGET_EXHAUSTED
@@ -142,8 +140,7 @@ def test_criterion_4_oracle_equivalence():
                                  read_cursor=cursor)
         executor = make_executor(inst)
         rec = executor(FuzzInput(base)).comparisons[0]
-        res = solve_with_alignments(None, FuzzInput(base), inst.key, rec,
-                                    executor)
+        res = solve_with_alignments(rec, FuzzInput(base), executor)
         got = res.status is SolveStatus.SOLVED
         want = brute_force_solvable(inst)
         solvable += want

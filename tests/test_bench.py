@@ -2,8 +2,11 @@
 
 import json
 
+import pytest
+
+from scatterfuzz import ConfigError
 from scatterfuzz.bench import (TrialOutcome, TrialReport, _cmedian,
-                               compare_block_coverage, report, run_bench,
+                               config_from_switches, report, run_bench,
                                run_trial)
 
 
@@ -68,9 +71,33 @@ def test_report_text_and_json_mirror():
 def test_mwu_comparison_wiring():
     a = make_report([1, 2, 3])
     b = make_report([1, 2, 3])
-    res = compare_block_coverage(a, b)
-    assert res.degenerate is False
-    assert res.p_value == 1.0  # identical block series
+    b.config_digest = "cfg2"
+    _, machine = report([a, b])
+    (mwu,) = [r for r in machine["reports"] if r.get("kind") == "mwu"]
+    assert (mwu["a"], mwu["b"]) == ("cfg", "cfg2")
+    assert mwu["degenerate"] is False
+    assert mwu["p"] == 1.0  # identical block series
+
+
+@pytest.mark.parametrize("switches", [
+    {"solvr": False},                 # misspelt key
+    {"execs": "500"},                 # number as a string
+    {"execs": True},
+    {"color": 0},
+    ["solver"],                       # entry is not an object
+    7,
+])
+def test_malformed_matrix_entry_rejected(switches):
+    with pytest.raises(ConfigError):
+        config_from_switches(switches, seed=1)
+    with pytest.raises(ConfigError):
+        run_bench([], 1, [{"solver": True}, switches])
+
+
+@pytest.mark.parametrize("matrix", [{"solver": True}, 5, "solver"])
+def test_matrix_must_be_a_list(matrix):
+    with pytest.raises(ConfigError):
+        run_bench([], 1, matrix)
 
 
 def test_run_trial_and_bench_end_to_end(corpus):

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from scatterfuzz import ConfigError
 from scatterfuzz.cli import main
 
 
@@ -38,6 +39,14 @@ def test_solve_unreached(tmp_path, capsys):
     inp.write_bytes(b"x")  # too short to reach the comparison
     rc = main(["solve", "contract_ok", str(inp), "--cmp", "cmp_ok"])
     assert rc == 1
+
+
+@pytest.mark.parametrize("text", ['[{"solver": tru', '[{"solvr": false}]'])
+def test_bench_rejects_malformed_matrix(tmp_path, text):
+    matrix = tmp_path / "matrix.json"
+    matrix.write_text(text)
+    with pytest.raises(ConfigError):
+        main(["bench", "--trials", "1", "--matrix", str(matrix)])
 
 
 def test_bench_and_report(tmp_path, capsys):

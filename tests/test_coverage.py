@@ -1,4 +1,4 @@
-"""Virgin map semantics, length feedback window, serialization."""
+"""Virgin map semantics, length feedback window, bitmap layout."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -70,8 +70,11 @@ def test_length_feedback_toggle(corpus):
 @settings(max_examples=30, deadline=None)
 @given(st.sets(st.integers(0, MAP_SIZE - 1), max_size=200))
 def test_bitmap_round_trip(bits):
+    """bitmap.bin: bit b is bit (b & 7) of byte b >> 3, LSB first."""
     cov = CoverageMap()
     cov._bits = set(bits)
     raw = cov.to_bytes()
     assert len(raw) == MAP_SIZE // 8
-    assert CoverageMap.from_bytes(raw)._bits == bits
+    for b in range(MAP_SIZE):
+        assert (raw[b >> 3] >> (b & 7) & 1) == (b in bits)
+    assert sum(byte.bit_count() for byte in raw) == len(bits)

@@ -2,6 +2,8 @@
 
 import json
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,12 +13,13 @@ from scatterfuzz.asm import parse_scenario
 from scatterfuzz.bench import DEFAULT_BENCH_EXECS
 from scatterfuzz.cmplog import MAX_HITS_PER_SITE
 from scatterfuzz.engine import Campaign, QueueEntry
-from scatterfuzz.program import FuzzInput
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from tracer import COLORIZE, Tracer  # noqa: E402
 
 
 def make_entry(data, entry_id=0):
-    return QueueEntry(input=FuzzInput(bytes(data)), entry_id=entry_id,
-                      via="seed")
+    return QueueEntry(data=bytes(data), entry_id=entry_id, via="seed")
 
 
 def small_campaign(corpus, name, execs=3000, **kw):
@@ -145,9 +148,9 @@ def test_solver_stage_one_shot(corpus, monkeypatch):
     calls = []
     real = engine_mod.solve_with_alignments
 
-    def spy(program, base, key, rec, executor, **kw):
-        calls.append(key)
-        return real(program, base, key, rec, executor, **kw)
+    def spy(rec, base, executor, **kw):
+        calls.append(rec.key)
+        return real(rec, base, executor, **kw)
 
     monkeypatch.setattr(engine_mod, "solve_with_alignments", spy)
     c = Campaign(corpus["print_fp"].program,
@@ -158,6 +161,23 @@ def test_solver_stage_one_shot(corpus, monkeypatch):
     # is ever attributed to the solver.
     assert not any(e.via == "solver" for e in c.queue)
     assert stats.solver_solved == 0
+
+
+def test_tracer_contract(corpus):
+    """The benchmark tracer sees every solver call and changes nothing.
+
+    It reads colorize's base input as the second positional argument
+    and counts each solve_with_alignments status.
+    """
+    config = CampaignConfig(rng_seed=1, max_executions=3000)
+    untraced = Campaign(corpus["contract_ok"].program, config).run()
+    tracer = Tracer()
+    with tracer.installed():
+        traced = Campaign(corpus["contract_ok"].program, config,
+                          observer=tracer.observer).run()
+    assert traced == untraced
+    assert tracer.counts["solver.status.solved"] >= 1
+    assert tracer.layer_times()[0][COLORIZE][0] >= 1
 
 
 def test_campaign_dir_layout(corpus, tmp_path):

@@ -34,12 +34,12 @@ def test_quad_candidates_guided_vs_naive(corpus, get_key):
     fi = FuzzInput(FIG3_INPUT)
     rec = find_record(execute(program, fi), key)
     executor = lambda f: execute(program, f)
-    res = solve(program, fi, key, rec.ideal_str, rec.observed_str, executor)
+    res = solve(rec, fi, executor)
     assert res.status is SolveStatus.SOLVED
     assert res.executions_used <= 16 + 1
     # Rejected candidates are restored; only the locked bytes change.
     assert res.solved_input.bytes == b"AAAWBBBXCCCYDDDZ"
-    nres = naive_search(program, fi, key, rec, executor, combo_budget=1000)
+    nres = naive_search(rec, fi, executor, combo_budget=1000)
     assert nres.combination_count == 256
     assert nres.status is SolveStatus.SOLVED
 
@@ -48,8 +48,7 @@ def test_mapped_positions_monotone(corpus, get_key):
     program, key = get_key("routes_cmd", "cmp_routes")
     fi = FuzzInput(ROUTES_INPUT)
     rec = find_record(execute(program, fi), key)
-    res = solve(program, fi, key, rec.ideal_str, rec.observed_str,
-                lambda f: execute(program, f))
+    res = solve(rec, fi, lambda f: execute(program, f))
     assert res.status is SolveStatus.SOLVED
     js = [j for _, j in res.mapped]
     assert js == sorted(js) and len(set(js)) == len(js)
@@ -69,7 +68,7 @@ def test_solver_only_touches_read_region(corpus, get_key):
         tried.append(f.bytes)
         return execute(program, f)
 
-    res = solve(program, fi, key, rec.ideal_str, rec.observed_str, executor)
+    res = solve(rec, fi, executor)
     assert res.status is SolveStatus.SOLVED
     for data in tried:
         assert data[rec.read_cursor:] == base[rec.read_cursor:]
@@ -80,8 +79,7 @@ def test_contraction_uses_nul(corpus, get_key):
     fi = FuzzInput(b"wxyz")
     rec = find_record(execute(program, fi), key)
     assert len(rec.observed_str) > len(rec.ideal_str)
-    res = solve(program, fi, key, rec.ideal_str, rec.observed_str,
-                lambda f: execute(program, f))
+    res = solve(rec, fi, lambda f: execute(program, f))
     assert res.status is SolveStatus.SOLVED
     assert res.solved_input.bytes[:3] == b"OK\x00"
     verify = find_record(execute(program, res.solved_input), key)
@@ -95,8 +93,7 @@ def test_contraction_uses_newline_on_console(corpus, get_key):
     fi = FuzzInput(base)
     rec = find_record(execute(program, fi), key)
     assert rec.observed_str == b"helpab"
-    res = solve(program, fi, key, rec.ideal_str, rec.observed_str,
-                lambda f: execute(program, f))
+    res = solve(rec, fi, lambda f: execute(program, f))
     assert res.status is SolveStatus.SOLVED
     assert res.solved_input.bytes[4] == 0x0A
     verify = find_record(execute(program, res.solved_input), key)
@@ -112,12 +109,10 @@ def test_tail_alignment_on_substring(corpus, get_key):
     program, key = get_key("suffix_ok", "cmp_find")
     fi = FuzzInput(b"ab")
     rec = find_record(execute(program, fi), key)
-    head = solve(program, fi, key, rec.ideal_str, rec.observed_str,
-                 lambda f: execute(program, f))
+    head = solve(rec, fi, lambda f: execute(program, f))
     assert head.status is SolveStatus.UNMAPPED_BYTE
     assert head.unmapped_index == 0
-    both = solve_with_alignments(program, fi, key, rec,
-                                 lambda f: execute(program, f))
+    both = solve_with_alignments(rec, fi, lambda f: execute(program, f))
     assert both.status is SolveStatus.SOLVED
     assert both.alignment_offset == 2
     assert both.solved_input.bytes == b"OK"
@@ -139,8 +134,7 @@ def test_mapping_stops_once_substring_found():
     fi = FuzzInput(b"abcd")
     rec = execute(program, fi).comparisons[0]
     assert rec.observed_str == b"abcd" and not rec.is_solved()
-    res = solve_with_alignments(program, fi, rec.key, rec,
-                                lambda f: execute(program, f))
+    res = solve_with_alignments(rec, fi, lambda f: execute(program, f))
     assert res.status is SolveStatus.SOLVED
     assert res.solved_input.bytes == b"OKcd"
     assert res.executions_used == 3
@@ -151,26 +145,25 @@ def test_false_positive_abandoned_cheaply(corpus, get_key):
     program, key = get_key("print_fp", "cmp_print")
     fi = FuzzInput(b"qq")
     rec = find_record(execute(program, fi), key)
-    res = solve_with_alignments(program, fi, key, rec,
-                                lambda f: execute(program, f))
+    res = solve_with_alignments(rec, fi, lambda f: execute(program, f))
     assert res.status is SolveStatus.UNMAPPED_BYTE
     assert res.executions_used <= default_exec_budget(2)
     assert res.solved_input is None
 
 
 def test_inconsistent_baseline(corpus, get_key):
+    """A record that the base input does not reproduce is refused."""
     program, key = get_key("contract_ok", "cmp_ok")
+    rec = find_record(execute(program, FuzzInput(b"abcd")), key)
     with pytest.raises(InconsistentBaseline):
-        solve(program, FuzzInput(b"wxyz"), key, b"OK", b"WRONG",
-              lambda f: execute(program, f))
+        solve(rec, FuzzInput(b"wxyz"), lambda f: execute(program, f))
 
 
 def test_budget_exhaustion(corpus, get_key):
     program, key = get_key("poweron", "cmp_poweron")
     fi = FuzzInput(POWERON_INPUT)
     rec = find_record(execute(program, fi), key)
-    res = solve(program, fi, key, rec.ideal_str, rec.observed_str,
-                lambda f: execute(program, f), exec_budget=10)
+    res = solve(rec, fi, lambda f: execute(program, f), exec_budget=10)
     assert res.status is SolveStatus.BUDGET_EXHAUSTED
     assert res.executions_used == 10
 
@@ -185,8 +178,8 @@ def test_naive_skips_non_increasing_combos():
     key = CmpKey(label_to_cmp_id(program, "c"), 0)
     fi = FuzzInput(b"aa")
     rec = find_record(execute(program, fi), key)
-    res = naive_search(program, fi, key, rec,
-                       lambda f: execute(program, f), combo_budget=100)
+    res = naive_search(rec, fi, lambda f: execute(program, f),
+                       combo_budget=100)
     # Count is the full Cartesian product; only the one strictly
     # increasing pair is ever executed.
     assert res.combination_count == 4
@@ -199,7 +192,8 @@ def test_colorize_preserves_reachability_and_entropy(corpus, get_key):
     program, key = get_key("poweron", "cmp_poweron")
     fi = FuzzInput(POWERON_INPUT)
     rng = random.Random(11)
-    colored = colorize(program, fi, key, lambda f: execute(program, f), rng)
+    rec = find_record(execute(program, fi), key)
+    colored = colorize(rec, fi, lambda f: execute(program, f), rng)
     assert find_record(execute(program, colored), key) is not None
     assert len(set(colored.bytes)) >= len(set(fi.bytes))
 
@@ -210,7 +204,7 @@ def test_colorization_reduces_candidates(corpus, get_key):
     fi = FuzzInput(POWERON_INPUT)
     executor = lambda f: execute(program, f)
     rec = find_record(execute(program, fi), key)
-    plain = solve(program, fi, key, rec.ideal_str, rec.observed_str, executor)
+    plain = solve(rec, fi, executor)
     assert plain.status is SolveStatus.SOLVED
     wins = 0
     for seed in range(1, 6):
@@ -220,10 +214,9 @@ def test_colorization_reduces_candidates(corpus, get_key):
             count[0] += 1
             return execute(program, f)
 
-        colored = colorize(program, fi, key, counting, random.Random(seed))
+        colored = colorize(rec, fi, counting, random.Random(seed))
         rec_c = find_record(counting(FuzzInput(colored.bytes)), key)
-        res = solve(program, colored, key, rec_c.ideal_str,
-                    rec_c.observed_str, counting)
+        res = solve(rec_c, colored, counting)
         assert res.status is SolveStatus.SOLVED
         if count[0] < plain.executions_used:
             wins += 1
@@ -240,8 +233,7 @@ def test_contraction_skips_decoy_byte():
                              ideal=b"XY", read_cursor=6)
     executor = make_executor(inst)
     fi = FuzzInput(inst.base)
-    res = solve_with_alignments(None, fi, inst.key,
-                                executor(fi).comparisons[0], executor)
+    res = solve_with_alignments(executor(fi).comparisons[0], fi, executor)
     assert res.status is SolveStatus.SOLVED
     assert res.mapped == [(0, 1), (1, 3), (2, 5)]
     assert res.solved_input.bytes == b"qXqYc\x00"
@@ -254,15 +246,14 @@ def test_synthetic_oracle_spot_checks():
     executor = make_executor(inst)
     fi = FuzzInput(inst.base)
     rec = executor(fi).comparisons[0]
-    res = solve_with_alignments(None, fi, inst.key, rec, executor)
+    res = solve_with_alignments(rec, fi, executor)
     assert res.status is SolveStatus.SOLVED
     assert brute_force_solvable(inst)
 
     blocked = SyntheticInstance(base=b"qaqbqc", sources=(1, 3, 5),
                                 ideal=b"XYZ", read_cursor=4)
     rec_b = make_executor(blocked)(fi).comparisons[0]
-    res_b = solve_with_alignments(None, fi, blocked.key, rec_b,
-                                  make_executor(blocked))
+    res_b = solve_with_alignments(rec_b, fi, make_executor(blocked))
     assert res_b.status is not SolveStatus.SOLVED
     assert not brute_force_solvable(blocked)
 
@@ -285,8 +276,7 @@ def test_alignment_event_log(get_key, name, label, data, status, mapped,
     fi = FuzzInput(data)
     rec = find_record(execute(program, fi), key)
     log = []
-    res = solve_with_alignments(program, fi, key, rec,
-                                lambda f: execute(program, f),
+    res = solve_with_alignments(rec, fi, lambda f: execute(program, f),
                                 log=log.append)
     assert res.status is status
     assert res.mapped == mapped

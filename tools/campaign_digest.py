@@ -4,8 +4,9 @@
 Covers every bundled scenario x solver on/off x seeds 1-3 at 20k
 executions.  Each line holds the scenario, the solver arm, the seed, the
 campaign's CampaignStats, the coverage bit count, a SHA-256 of the
-queue and one SHA-256 each over the campaign's stats.jsonl and
-solver.jsonl lines.  Two checkouts that behave the same print the same
+queue, one SHA-256 each over the campaign's stats.jsonl and
+solver.jsonl lines, and a SHA-256 of the coverage bitmap as bitmap.bin
+stores it.  Two checkouts that behave the same print the same
 text, so a change meant to keep behaviour is checked by diffing this
 output before and after it.  Run from the repository root:
 
@@ -39,7 +40,8 @@ def digest_line(scenario, solver, seed):
             f"{json.dumps(dataclasses.asdict(stats), sort_keys=True)} "
             f"bits={campaign.cov.bit_count()} queue={queue.hexdigest()} "
             f"stats={lines_digest(campaign._stats_lines)} "
-            f"solver={lines_digest(campaign._solver_lines)}")
+            f"solver={lines_digest(campaign._solver_lines)} "
+            f"bitmap={hashlib.sha256(campaign.cov.to_bytes()).hexdigest()}")
 
 
 def lines_digest(lines):
