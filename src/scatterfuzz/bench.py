@@ -111,10 +111,9 @@ def config_from_switches(switches: dict, seed: int) -> CampaignConfig:
     )
 
 
-def run_trial(scenario, switches: dict, seed: int,
-              out_dir=None) -> TrialOutcome:
+def run_trial(scenario, switches: dict, seed: int) -> TrialOutcome:
     config = config_from_switches(switches, seed)
-    stats = run_campaign(scenario.program, config, out_dir=out_dir)
+    stats = run_campaign(scenario.program, config)
     solves = {}
     for exp in scenario.expected_strings:
         solves[exp.label] = stats.solved_comparisons.get(exp.cmp_id)
@@ -127,7 +126,7 @@ def run_trial(scenario, switches: dict, seed: int,
 def run_bench(scenarios, trials: int, config_matrix) -> list[TrialReport]:
     """Run trials x configs campaigns per scenario, RNG seeds 1..trials."""
     if trials < 1:
-        raise ValueError("trials must be >= 1")
+        raise ConfigError("trials must be >= 1")
     # The whole matrix is checked before the first campaign runs.
     if not isinstance(config_matrix, list):
         raise ConfigError("config matrix must be a list of switch objects")

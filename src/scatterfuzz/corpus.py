@@ -80,9 +80,21 @@ def resolve_expected(program: TargetProgram, pairs) -> list[ExpectedString]:
 
 
 def _load_manifest_dir(root: Path) -> list[Scenario]:
-    manifest = json.loads((root / "manifest.json").read_text())
+    where = root / "manifest.json"
+    try:
+        manifest = json.loads(where.read_text())
+    except (OSError, ValueError) as exc:
+        raise ScenarioValidationError(f"{where}: {exc}") from None
+    if not (isinstance(manifest, list)
+            and all(isinstance(item, dict) for item in manifest)):
+        raise ScenarioValidationError(f"{where}: not a list of objects")
     scenarios = []
     for item in manifest:
+        missing = [k for k in ("name", "category", "file",
+                               "expected_strings") if k not in item]
+        if missing:
+            raise ScenarioValidationError(
+                f"{where}: entry {item} lacks {', '.join(missing)}")
         if item["category"] not in CATEGORIES:
             raise ScenarioValidationError(
                 f"{item['name']}: unknown category {item['category']!r}")

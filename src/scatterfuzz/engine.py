@@ -60,8 +60,6 @@ class QueueEntry:
     entry_id: int
     via: str                        # "seed", "havoc", or "solver"
     edges: frozenset = frozenset()
-    solver_done: set = field(default_factory=set)
-    favored: bool = False
 
 
 @dataclass
@@ -110,8 +108,8 @@ class Campaign:
 
     # -- execution --------------------------------------------------------
 
-    def _exec(self, data: bytes, kind: str):
-        """Run one input, account it, and track crashes and solved sites."""
+    def _step(self, data: bytes, kind: str):
+        """Run one input, account it, and fold its trace: (trace, result)."""
         if self.stats.executions >= self.config.max_executions:
             raise _CampaignDone
         trace = execute(self.program, data, budget=self.config.instr_budget,
@@ -121,7 +119,7 @@ class Campaign:
         self.blocks_seen |= trace.blocks
         if trace.exit is ExitReason.CRASH:
             self.stats.crashes += 1
-            key = (trace.crash_pc, _edge_digest(trace.edges))
+            key = (trace.crash_pc, frozenset(trace.edges))
             if key not in self.crash_keys:
                 self.crash_keys.add(key)
                 self.stats.unique_crashes += 1
@@ -133,10 +131,7 @@ class Campaign:
                     self.stats.executions
         if self.observer is not None:
             self.observer(self, trace, data, kind)
-        return trace
-
-    def _record(self, trace):
-        return self.cov.record_trace(
+        return trace, self.cov.record_trace(
             trace, length_feedback=self.config.length_feedback_enabled)
 
     def _log_stat(self, kind, new_bits):
@@ -144,54 +139,46 @@ class Campaign:
             {"exec_id": self.stats.executions, "kind": kind,
              "new_bits": new_bits, "blocks": len(self.blocks_seen)}))
 
-    # -- queue management -------------------------------------------------
-
-    def _enqueue(self, data: bytes, via: str, edges) -> QueueEntry:
-        entry = QueueEntry(data=data, entry_id=len(self.queue), via=via,
-                           edges=frozenset(edges))
-        self.queue.append(entry)
-        self.stats.queue_len = len(self.queue)
-        return entry
-
-    def _refresh_favored(self):
-        """Mark the smallest entry covering each edge as favored."""
-        best: dict[int, QueueEntry] = {}
-        for entry in self.queue:
-            entry.favored = False
-            for e in entry.edges:
-                cur = best.get(e)
-                if cur is None or len(entry.data) < len(cur.data):
-                    best[e] = entry
-        for entry in best.values():
-            entry.favored = True
-
-    # -- solver stage -----------------------------------------------------
-
     def _solver_executor(self, fuzz_input: FuzzInput):
-        trace = self._exec(fuzz_input.bytes, "solver")
+        trace, res = self._step(fuzz_input.bytes, "solver")
         self.stats.solver_executions += 1
-        res = self._record(trace)
         if res.interesting:
             self._log_stat("solver", res.new_bits)
         return trace
 
-    def _solver_stage(self, entry: QueueEntry, trace):
-        """Attack each unsatisfied comparison the entry reaches, once."""
+    # -- queue and solver stage -------------------------------------------
+
+    def _schedule(self) -> list[QueueEntry]:
+        """The queue, favored entries (the smallest covering each edge)
+        first, then the rest, both in queue order."""
+        best: dict[int, QueueEntry] = {}
+        for entry in self.queue:
+            for e in entry.edges:
+                cur = best.get(e)
+                if cur is None or len(entry.data) < len(cur.data):
+                    best[e] = entry
+        favored = {entry.entry_id for entry in best.values()}
+        return sorted(self.queue, key=lambda e: e.entry_id not in favored)
+
+    def _keep(self, data: bytes, via: str, trace):
+        """Enqueue an input, then attack each unsatisfied comparison its
+        trace reaches; a solved input is kept the same way, depth first.
+        """
+        self.queue.append(QueueEntry(data=data, entry_id=len(self.queue),
+                                     via=via, edges=frozenset(trace.edges)))
+        self.stats.queue_len = len(self.queue)
         if not self.config.solver_enabled:
             return
         for rec in trace.comparisons:
-            # _exec has already marked every satisfied comparison solved.
+            # _step has already marked every satisfied comparison solved.
             if rec.cmp_id in self.stats.solved_comparisons:
                 continue
-            if rec.key in entry.solver_done:
-                continue
-            entry.solver_done.add(rec.key)
             if not rec.ideal_str or not rec.observed_str:
                 # Nothing to map from or onto; skip without spending the
                 # colorization budget.
                 continue
             self.stats.solver_attempts += 1
-            base = FuzzInput(entry.data)
+            base = FuzzInput(data)
 
             def emit(event):
                 self._solver_lines.append(json.dumps(event))
@@ -203,7 +190,7 @@ class Campaign:
                     colored_trace = self._solver_executor(base)
                     rec2 = find_record(colored_trace, rec.key)
                     if rec2 is None:
-                        base, rec2 = FuzzInput(entry.data), rec
+                        base, rec2 = FuzzInput(data), rec
                     rec = rec2
                 result = solve_with_alignments(
                     rec, base, self._solver_executor, log=emit)
@@ -213,12 +200,10 @@ class Campaign:
             if result.status is SolveStatus.SOLVED:
                 self.stats.solver_solved += 1
                 solved = result.solved_input.bytes
-                t = self._exec(solved, "solver-keep")
-                res = self._record(t)
+                t, res = self._step(solved, "solver-keep")
                 self._log_stat("solver-keep", res.new_bits)
                 # Solved inputs bypass the interestingness filter.
-                new = self._enqueue(solved, "solver", t.edges)
-                self._solver_stage(new, t)
+                self._keep(solved, "solver", t)
 
     # -- mutation ---------------------------------------------------------
 
@@ -260,27 +245,21 @@ class Campaign:
     def run(self) -> CampaignStats:
         try:
             for seed in self.seeds:
-                trace = self._exec(seed, "seed")
-                res = self._record(trace)
+                trace, res = self._step(seed, "seed")
                 self._log_stat("seed", res.new_bits)
-                entry = self._enqueue(seed, "seed", trace.edges)
-                self._solver_stage(entry, trace)
+                self._keep(seed, "seed", trace)
 
             cursor = 0
             while self.stats.executions < self.config.max_executions:
-                self._refresh_favored()
-                schedule = ([e for e in self.queue if e.favored]
-                            + [e for e in self.queue if not e.favored])
+                schedule = self._schedule()
                 entry = schedule[cursor % len(schedule)]
                 cursor += 1
                 for _ in range(DEFAULT_ENERGY):
                     mutant = self.mutate(entry, self.mut_rng)
-                    trace = self._exec(mutant, "havoc")
-                    res = self._record(trace)
+                    trace, res = self._step(mutant, "havoc")
                     if res.interesting:
                         self._log_stat("havoc", res.new_bits)
-                        new = self._enqueue(mutant, "havoc", trace.edges)
-                        self._solver_stage(new, trace)
+                        self._keep(mutant, "havoc", trace)
         except _CampaignDone:
             pass
 
@@ -311,16 +290,6 @@ class Campaign:
             for k, v in sorted(summary["solved_comparisons"].items())}
         summary["config"] = self.config.digest()
         (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
-
-
-def _edge_digest(edges) -> int:
-    """Order-independent stable hash of an edge set."""
-    h = 0
-    for e in edges:
-        x = (e * 0x9E3779B1 + 0x7F4A7C15) & 0xFFFFFFFF
-        x ^= x >> 16
-        h ^= x
-    return h
 
 
 def run_campaign(program, config: CampaignConfig, seeds=None, out_dir=None,

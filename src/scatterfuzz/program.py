@@ -77,7 +77,9 @@ class TargetProgram:
             raise MalformedProgram("ROM segment is empty")
         if self.ram_size <= 0:
             raise MalformedProgram("RAM segment is empty")
-        if len(self.rom) > 65536 or self.ram_size > 65536:
+        if len(self.rom) > RAM_BASE - ROM_BASE:
+            raise MalformedProgram("ROM segment overlaps RAM")
+        if self.ram_size > 65536:
             raise MalformedProgram("segment too large")
         if not self.instructions:
             raise MalformedProgram("no instructions")

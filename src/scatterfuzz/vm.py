@@ -263,6 +263,16 @@ def _gen_block(program, bi, start, end, sites, ordinal):
     def emit(s):
         lines.append("    " + s)
 
+    def checked(idx, addr, *arms):
+        """Set a = addr, run the first (bound, stmt) arm whose bound
+        holds, and crash at instruction idx when none does."""
+        emit(f"a = {addr}")
+        for i, (cond, stmt) in enumerate(arms):
+            emit(f"{'el' if i else ''}if {cond}:")
+            emit(f"    {stmt}")
+        emit("else:")
+        emit(f"    st.exit = 1; st.crash_pc = {idx}; return -1")
+
     succ = set()
     fell_through = True
     for idx in range(start, end):
@@ -304,47 +314,27 @@ def _gen_block(program, bi, start, end, sites, ordinal):
             idx_expr = f" + r[{ops[2][1]}]" if len(ops) == 3 else ""
             if ops[1][0] == "imm":
                 addr = ops[1][1]
-                if program.in_rom(addr):
-                    off = addr - ROM_BASE
-                    if not idx_expr:
-                        emit(f"r[{rd}] = rom[{off}]")
-                    else:
-                        emit(f"a = {off}{idx_expr}")
-                        emit(f"if 0 <= a < {rom_len}:")
-                        emit(f"    r[{rd}] = rom[a]")
-                        emit("else:")
-                        emit(f"    st.exit = 1; st.crash_pc = {idx}; return -1")
+                seg, base, size = (("rom", ROM_BASE, rom_len)
+                                   if program.in_rom(addr)
+                                   else ("ram", RAM_BASE, ram_size))
+                if idx_expr:
+                    checked(idx, f"{addr - base}{idx_expr}",
+                            (f"0 <= a < {size}", f"r[{rd}] = {seg}[a]"))
                 else:
-                    off = addr - RAM_BASE
-                    if not idx_expr:
-                        emit(f"r[{rd}] = ram[{off}]")
-                    else:
-                        emit(f"a = {off}{idx_expr}")
-                        emit(f"if 0 <= a < {ram_size}:")
-                        emit(f"    r[{rd}] = ram[a]")
-                        emit("else:")
-                        emit(f"    st.exit = 1; st.crash_pc = {idx}; return -1")
+                    emit(f"r[{rd}] = {seg}[{addr - base}]")
             else:
-                emit(f"a = r[{ops[1][1]}]{idx_expr}")
-                emit(f"if {ROM_BASE} <= a < {ROM_BASE + rom_len}:")
-                emit(f"    r[{rd}] = rom[a - {ROM_BASE}]")
-                emit(f"elif {RAM_BASE} <= a < {RAM_BASE + ram_size}:")
-                emit(f"    r[{rd}] = ram[a - {RAM_BASE}]")
-                emit("else:")
-                emit(f"    st.exit = 1; st.crash_pc = {idx}; return -1")
+                checked(idx, f"r[{ops[1][1]}]{idx_expr}",
+                        (f"{ROM_BASE} <= a < {ROM_BASE + rom_len}",
+                         f"r[{rd}] = rom[a - {ROM_BASE}]"),
+                        (f"{RAM_BASE} <= a < {RAM_BASE + ram_size}",
+                         f"r[{rd}] = ram[a - {RAM_BASE}]"))
         elif op == "STORE":
             off = ops[0][1] - RAM_BASE
-            val = _operand_expr(ops[1])
-            if ops[1][0] == "imm":
-                val = str(ops[1][1] & 0xFF)
-            else:
-                val = f"{val} & 0xFF"
+            val = (str(ops[1][1] & 0xFF) if ops[1][0] == "imm"
+                   else f"r[{ops[1][1]}] & 0xFF")
             if len(ops) == 3:
-                emit(f"a = {off} + r[{ops[2][1]}]")
-                emit(f"if 0 <= a < {ram_size}:")
-                emit(f"    ram[a] = {val}")
-                emit("else:")
-                emit(f"    st.exit = 1; st.crash_pc = {idx}; return -1")
+                checked(idx, f"{off} + r[{ops[2][1]}]",
+                        (f"0 <= a < {ram_size}", f"ram[a] = {val}"))
             else:
                 emit(f"ram[{off}] = {val}")
         elif op == "CALL":

@@ -1,7 +1,7 @@
 import pytest
 
-from scatterfuzz import FuzzInput, execute, load_corpus
-from scatterfuzz.cmplog import CmpKey, find_record
+from scatterfuzz import load_corpus
+from scatterfuzz.cmplog import CmpKey
 from scatterfuzz.corpus import label_to_cmp_id
 
 
@@ -26,12 +26,3 @@ def get_key(corpus):
         program = corpus[name].program
         return program, CmpKey(label_to_cmp_id(program, label), hit_index)
     return _get
-
-
-def make_executor(program):
-    return lambda fuzz_input: execute(program, fuzz_input)
-
-
-def record_for(program, data, key):
-    trace = execute(program, FuzzInput(data))
-    return find_record(trace, key)

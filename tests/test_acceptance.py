@@ -165,12 +165,12 @@ def test_criterion_5_length_feedback(corpus):
         length_feedback_enabled=True), seeds=seeds)
     seen_pairs = set()
     state = {"expect_enqueue": False, "checked": 0, "new_pair_execs": 0}
-    orig_record, orig_enqueue = c._record, c._enqueue
+    orig_record, orig_enqueue = c.cov.record_trace, c._keep
 
-    def checking_record(trace):
+    def checking_record(trace, **kw):
         assert not state["expect_enqueue"], \
             "interesting input was not enqueued"
-        res = orig_record(trace)
+        res = orig_record(trace, **kw)
         new_pairs = 0
         for rec in trace.comparisons:
             if abs(rec.observed_len - rec.ideal_len) <= LENGTH_WINDOW:
@@ -185,24 +185,24 @@ def test_criterion_5_length_feedback(corpus):
         state["expect_enqueue"] = res.interesting
         return res
 
-    def checking_enqueue(data, via, edges):
+    def checking_enqueue(data, via, trace):
         state["expect_enqueue"] = False
-        return orig_enqueue(data, via, edges)
+        return orig_enqueue(data, via, trace)
 
-    c._record = checking_record
-    c._enqueue = checking_enqueue
+    c.cov.record_trace = checking_record
+    c._keep = checking_enqueue
     c.run()
 
     # Arm 2: feedback off; length-only inputs must be discarded.
     c2 = Campaign(program, CampaignConfig(
         rng_seed=1, max_executions=50_000, solver_enabled=False,
         length_feedback_enabled=False), seeds=seeds)
-    orig_record2, orig_enqueue2 = c2._record, c2._enqueue
+    orig_record2, orig_enqueue2 = c2.cov.record_trace, c2._keep
     state2 = {"last_interesting": True, "discarded": 0}
     seen2 = set()
 
-    def record2(trace):
-        res = orig_record2(trace)
+    def record2(trace, **kw):
+        res = orig_record2(trace, **kw)
         assert res.new_length_bits == 0
         had_new_pair = False
         for rec in trace.comparisons:
@@ -216,13 +216,13 @@ def test_criterion_5_length_feedback(corpus):
         state2["last_interesting"] = res.interesting
         return res
 
-    def enqueue2(data, via, edges):
+    def enqueue2(data, via, trace):
         assert via == "seed" or state2["last_interesting"], \
             "non-interesting input enqueued with feedback off"
-        return orig_enqueue2(data, via, edges)
+        return orig_enqueue2(data, via, trace)
 
-    c2._record = record2
-    c2._enqueue = enqueue2
+    c2.cov.record_trace = record2
+    c2._keep = enqueue2
     c2.run()
 
     elapsed = time.monotonic() - t0

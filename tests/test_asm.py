@@ -88,6 +88,21 @@ def test_store_to_rom_rejected():
         parse_scenario('.rom s "a\\0"\n.ram 8\n  STORE s, 1\n  HALT\n')
 
 
+@pytest.mark.parametrize("rom_len, ok", [(RAM_BASE - ROM_BASE, True),
+                                         (RAM_BASE - ROM_BASE + 1, False)])
+def test_rom_must_end_below_ram(rom_len, ok):
+    """A longer ROM would shadow RAM: LOAD ram+0 would read a ROM byte."""
+    text = (f'.rom s "{"A" * rom_len}"\n.ram 8\n'
+            "  STORE ram+0, 7\n  LOAD r1, ram+0\n  CMP r2, r1, 7\n"
+            "  BNZ r2, bad\n  HALT\nbad:\n  CRASH\n")
+    if not ok:
+        with pytest.raises(MalformedProgram):
+            parse_scenario(text)
+        return
+    trace = execute(parse_scenario(text), FuzzInput(b""))
+    assert trace.exit.value == "halt"
+
+
 def test_fallthrough_end_rejected():
     with pytest.raises(MalformedProgram):
         parse_scenario('.rom s "a\\0"\n.ram 8\n  LOADI r1, 0\n')

@@ -8,6 +8,7 @@ from scatterfuzz import ConfigError
 from scatterfuzz.bench import (TrialOutcome, TrialReport, _cmedian,
                                config_from_switches, report, run_bench,
                                run_trial)
+from scatterfuzz.cli import main
 
 
 def make_report(vals, budget=1000):
@@ -98,6 +99,14 @@ def test_malformed_matrix_entry_rejected(switches):
 def test_matrix_must_be_a_list(matrix):
     with pytest.raises(ConfigError):
         run_bench([], 1, matrix)
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_trial_count_must_be_positive(trials):
+    with pytest.raises(ConfigError):
+        run_bench([], trials, [{"solver": True}])
+    with pytest.raises(ConfigError):
+        main(["bench", "--trials", str(trials)])
 
 
 def test_run_trial_and_bench_end_to_end(corpus):

@@ -88,3 +88,19 @@ def test_load_corpus_from_explicit_dir():
     scenarios = load_corpus(bundled_dir())
     assert {s.name for s in scenarios} == \
         {s.name for s in load_corpus()}
+
+
+@pytest.mark.parametrize("manifest", [
+    None,                                     # no manifest.json
+    '[{"name": "x"',                          # JSON syntax error
+    '{"name": "x"}',                          # not a list
+    "[5]",                                    # an entry is not an object
+    '[{"name": "x"}]',                        # entry lacks keys
+    '[{"name": "x", "category": "guarded", "file": "x.s"}]',
+])
+def test_malformed_manifest_rejected(tmp_path, manifest):
+    (tmp_path / "x.s").write_text('.rom s "a\\0"\n.ram 8\n  HALT\n')
+    if manifest is not None:
+        (tmp_path / "manifest.json").write_text(manifest)
+    with pytest.raises(ScenarioValidationError):
+        load_corpus(tmp_path)

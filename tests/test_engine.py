@@ -137,6 +137,20 @@ def test_no_lost_crashes(corpus):
     assert len(c._crash_blobs) == stats.unique_crashes
 
 
+def test_crashes_deduplicated_by_path():
+    """Two paths to one CRASH are two unique crashes; a repeat is not."""
+    program = parse_scenario(
+        '.rom s "a\\0"\n.ram 8\n.periph p\n'
+        "  READ_REG r1, p\n  BZ r1, left\n  JMP boom\n"
+        "left:\n  LOADI r2, 0\nboom:\n  CRASH\n")
+    c = Campaign(program, CampaignConfig(rng_seed=1, max_executions=3),
+                 seeds=[b"\0", b"\1", b"\0"])
+    stats = c.run()
+    assert stats.crashes == 3
+    assert stats.unique_crashes == 2
+    assert c._crash_blobs == [(1, b"\0"), (2, b"\1")]
+
+
 def test_solved_inputs_bypass_interestingness(corpus):
     c = Campaign(corpus["contract_ok"].program,
                  CampaignConfig(rng_seed=1, max_executions=3000))

@@ -5,10 +5,11 @@ Covers every bundled scenario x solver on/off x seeds 1-3 at 20k
 executions.  Each line holds the scenario, the solver arm, the seed, the
 campaign's CampaignStats, the coverage bit count, a SHA-256 of the
 queue, one SHA-256 each over the campaign's stats.jsonl and
-solver.jsonl lines, and a SHA-256 of the coverage bitmap as bitmap.bin
-stores it.  Two checkouts that behave the same print the same
-text, so a change meant to keep behaviour is checked by diffing this
-output before and after it.  Run from the repository root:
+solver.jsonl lines, a SHA-256 of the coverage bitmap as bitmap.bin
+stores it, and a SHA-256 over the (execution id, input) pairs the
+crashes/ directory stores.  Two checkouts that behave the same print
+the same text, so a change meant to keep behaviour is checked by
+diffing this output before and after it.  Run from the repository root:
 
     python tools/campaign_digest.py > digest.txt
 """
@@ -41,13 +42,23 @@ def digest_line(scenario, solver, seed):
             f"bits={campaign.cov.bit_count()} queue={queue.hexdigest()} "
             f"stats={lines_digest(campaign._stats_lines)} "
             f"solver={lines_digest(campaign._solver_lines)} "
-            f"bitmap={hashlib.sha256(campaign.cov.to_bytes()).hexdigest()}")
+            f"bitmap={hashlib.sha256(campaign.cov.to_bytes()).hexdigest()} "
+            f"crashes={crashes_digest(campaign._crash_blobs)}")
 
 
 def lines_digest(lines):
     """SHA-256 of a line stream as the campaign directory stores it."""
     return hashlib.sha256("".join(f"{line}\n" for line in lines)
                           .encode()).hexdigest()
+
+
+def crashes_digest(blobs):
+    """SHA-256 of the crashes/ directory: each file's exec id and bytes."""
+    h = hashlib.sha256()
+    for exec_id, blob in blobs:
+        h.update(exec_id.to_bytes(8, "little")
+                 + len(blob).to_bytes(4, "little") + blob)
+    return h.hexdigest()
 
 
 def main():
