@@ -3,7 +3,10 @@
 One instruction per line.  Directives: ``.rom <name> "<escaped bytes>"``,
 ``.ram <size>``, ``.periph <name>``.  Labels are ``name:`` on their own
 line, comments start with ``;``.  ROM strings use C-style escapes and a
-trailing explicit ``\\0`` when NUL termination is intended.
+trailing explicit ``\\0`` when NUL termination is intended.  Each
+mnemonic's operands are listed by kind in ``program.SIGNATURES``.  Parse
+errors name the offending line, except ``UnknownLabel``, which names the
+missing label.
 """
 
 from __future__ import annotations
@@ -11,10 +14,13 @@ from __future__ import annotations
 import re
 
 from .errors import DuplicateLabel, ParseError, UnknownLabel
-from .program import (BUILTINS, NUM_REGS, RAM_BASE, ROM_BASE, Instruction,
-                      TargetProgram)
+from .program import (BUILTINS, NUM_REGS, RAM_BASE, ROM_BASE, SIGNATURES,
+                      Instruction, TargetProgram, operand_kinds)
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
+
+# Operand kinds written as bare names, and the tag each one parses to.
+_NAME_TAGS = {"p": "periph", "l": "label", "b": "builtin"}
 
 _ESCAPES = {"0": 0, "n": 0x0A, "r": 0x0D, "t": 0x09, "\\": 0x5C, '"': 0x22}
 
@@ -98,22 +104,16 @@ def parse_scenario(text: str, name: str = "") -> TargetProgram:
             continue
 
         instructions.append(
-            _parse_instruction(line, line_no, rom_symbols, periphs))
+            _parse_instruction(line, line_no, rom_symbols))
 
     if ram_size is None:
         ram_size = 256
 
     # Late resolution: branch targets must exist.
-    defined = set(label_lines)
     for ins in instructions:
-        if ins.opcode in ("BZ", "BNZ"):
-            target = ins.operands[1][1]
-        elif ins.opcode == "JMP":
-            target = ins.operands[0][1]
-        else:
-            continue
-        if target not in defined:
-            raise UnknownLabel(f"branch to undefined label {target!r}")
+        for tag, value in ins.operands:
+            if tag == "label" and value not in label_lines:
+                raise UnknownLabel(f"branch to undefined label {value!r}")
 
     program = TargetProgram(
         instructions=instructions,
@@ -173,30 +173,24 @@ def _parse_operand(tok, line_no, rom_symbols):
     raise ParseError(f"cannot resolve operand {tok!r}", line_no, 0)
 
 
-def _parse_instruction(line, line_no, rom_symbols, periphs):
+def _parse_instruction(line, line_no, rom_symbols):
     m = re.match(r"([A-Z_]+)\s*(.*)$", line)
     if not m:
         raise ParseError(f"unparseable line {line!r}", line_no, 0)
     op = m.group(1)
+    if op not in SIGNATURES or op == "LABEL":
+        raise ParseError(f"unknown instruction {op!r}", line_no, 0)
     rest = m.group(2).strip()
     toks = [t.strip() for t in rest.split(",")] if rest else []
-
-    def operand(i):
-        return _parse_operand(toks[i], line_no, rom_symbols)
-
-    try:
-        if op == "READ_REG":
-            return Instruction(op, (operand(0), ("periph", toks[1].strip())))
-        if op in ("BZ", "BNZ"):
-            return Instruction(op, (operand(0), ("label", toks[1].strip())))
-        if op == "JMP":
-            return Instruction(op, (("label", toks[0].strip()),))
-        if op == "CALL":
-            b = toks[0].strip()
-            if b not in BUILTINS:
-                raise ParseError(f"unknown builtin {b!r}", line_no, 0)
-            return Instruction(
-                op, (("builtin", b), operand(1), operand(2)))
-        return Instruction(op, tuple(operand(i) for i in range(len(toks))))
-    except IndexError:
-        raise ParseError(f"{op}: missing operands", line_no, 0) from None
+    kinds = operand_kinds(op, len(toks))
+    if kinds is None:
+        raise ParseError(f"{op} cannot take {len(toks)} operands", line_no, 0)
+    operands = []
+    for kind, tok in zip(kinds, toks):
+        if kind == "b" and tok not in BUILTINS:
+            raise ParseError(f"unknown builtin {tok!r}", line_no, 0)
+        if kind in _NAME_TAGS:
+            operands.append((_NAME_TAGS[kind], tok))
+        else:
+            operands.append(_parse_operand(tok, line_no, rom_symbols))
+    return Instruction(op, tuple(operands))

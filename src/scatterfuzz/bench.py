@@ -27,7 +27,6 @@ class TrialOutcome:
     solves: dict            # label -> execution index or None (censored)
     unique_blocks: int
     crashes: int
-    executions: int
 
 
 @dataclass
@@ -119,8 +118,7 @@ def run_trial(scenario, switches: dict, seed: int) -> TrialOutcome:
         solves[exp.label] = stats.solved_comparisons.get(exp.cmp_id)
     return TrialOutcome(seed=seed, solves=solves,
                         unique_blocks=stats.unique_blocks,
-                        crashes=stats.unique_crashes,
-                        executions=stats.executions)
+                        crashes=stats.unique_crashes)
 
 
 def run_bench(scenarios, trials: int, config_matrix) -> list[TrialReport]:

@@ -95,17 +95,33 @@ def _load_manifest_dir(root: Path) -> list[Scenario]:
         if missing:
             raise ScenarioValidationError(
                 f"{where}: entry {item} lacks {', '.join(missing)}")
+        if not all(isinstance(item[k], str)
+                   for k in ("name", "category", "file")):
+            raise ScenarioValidationError(
+                f"{where}: entry {item}: name, category and file must be "
+                f"strings")
         if item["category"] not in CATEGORIES:
             raise ScenarioValidationError(
                 f"{item['name']}: unknown category {item['category']!r}")
+        pairs = item["expected_strings"]
+        if not (isinstance(pairs, list)
+                and all(isinstance(pair, list) and len(pair) == 2
+                        and all(isinstance(x, str) for x in pair)
+                        for pair in pairs)):
+            raise ScenarioValidationError(
+                f"{item['name']}: expected_strings must be a list of "
+                f"[label, string] pairs")
         path = root / item["file"]
-        program = parse_scenario(path.read_text(), name=item["name"])
+        try:
+            text = path.read_text()
+        except (OSError, ValueError) as exc:
+            raise ScenarioValidationError(f"{path}: {exc}") from None
+        program = parse_scenario(text, name=item["name"])
         scenarios.append(Scenario(
             name=item["name"],
             category=item["category"],
             program=program,
-            expected_strings=resolve_expected(program,
-                                              item["expected_strings"]),
+            expected_strings=resolve_expected(program, pairs),
             source_path=str(path),
         ))
     return scenarios

@@ -22,21 +22,6 @@ class MannWhitneyResult:
     degenerate: bool
 
 
-def _midranks(values):
-    order = sorted(range(len(values)), key=lambda i: values[i])
-    ranks = [0.0] * len(values)
-    i = 0
-    while i < len(order):
-        j = i
-        while j + 1 < len(order) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        rank = (i + j) / 2 + 1
-        for k in range(i, j + 1):
-            ranks[order[k]] = rank
-        i = j + 1
-    return ranks
-
-
 def _u_statistic(a, b):
     """U for sample a, counting ties as half wins."""
     u = 0.0

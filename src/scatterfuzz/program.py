@@ -18,17 +18,43 @@ MAX_STRLEN = 128
 MAP_SIZE = 1 << 16
 DEFAULT_INSTR_BUDGET = 1_000_000
 
-OPCODES = frozenset({
-    "READ_REG", "LOADI", "MOV", "AND", "OR", "CMP", "BZ", "BNZ", "JMP",
-    "LOAD", "STORE", "CALL", "CRASH", "HALT", "LABEL",
-})
+# What an operand of each kind may be.
+OPERAND_KINDS = {
+    "r": "a register",
+    "v": "a register or an immediate",
+    "a": "a pointer (a register, or an immediate below ROM_BASE "
+         "or in ROM/RAM)",
+    "m": "a ROM/RAM address (a register, or an immediate in ROM/RAM)",
+    "w": "a RAM address (an immediate in RAM)",  # so ROM stays immutable
+    "p": "a declared peripheral",
+    "l": "a defined label",
+    "b": "a builtin",
+    "n": "a label name",
+}
+# Each opcode's operand kinds, in order; kinds after "|" are optional.
+SIGNATURES = {
+    "READ_REG": "rp", "LOADI": "ra", "MOV": "rr",
+    "AND": "rrv", "OR": "rrv", "CMP": "rrv",
+    "BZ": "rl", "BNZ": "rl", "JMP": "l",
+    "LOAD": "rm|r", "STORE": "wv|r", "CALL": "baa",
+    "CRASH": "", "HALT": "", "LABEL": "n",
+}
+OPCODES = frozenset(SIGNATURES)
 BRANCH_OPS = frozenset({"BZ", "BNZ", "JMP"})
 TERMINAL_OPS = frozenset({"HALT", "CRASH", "JMP"})
 BUILTINS = frozenset({"STRCMP", "STRNCMP", "STRSTR", "MEMCMP", "PRINT"})
 
-# Operand kinds after parsing: ("reg", n), ("imm", value), ("label", name),
-# ("periph", name), ("builtin", name).  ROM symbols and ram+N forms are
-# resolved to ("imm", address) by the assembler.
+# Operands after parsing are tagged pairs: ("reg", n), ("imm", value),
+# ("label", name), ("periph", name), ("builtin", name).  ROM symbols and
+# ram+N forms are resolved to ("imm", address) by the assembler.
+
+
+def operand_kinds(opcode, count):
+    """Kinds of count operands of opcode; None if it cannot take count."""
+    required, _, optional = SIGNATURES[opcode].partition("|")
+    if len(required) <= count <= len(required) + len(optional):
+        return (required + optional)[:count]
+    return None
 
 
 @dataclass(frozen=True)
@@ -87,6 +113,7 @@ class TargetProgram:
         labels = {}
         for idx, ins in enumerate(self.instructions):
             if ins.opcode == "LABEL":
+                self._check_instruction(idx, ins, labels)
                 name = ins.operands[0][1]
                 if name in labels:
                     raise MalformedProgram(f"duplicate label {name!r}")
@@ -103,95 +130,32 @@ class TargetProgram:
         self._compute_blocks()
 
     def _check_instruction(self, idx, ins, labels):
-        op = ins.opcode
-        ops = ins.operands
+        kinds = operand_kinds(ins.opcode, len(ins.operands))
+        if kinds is None:
+            raise MalformedProgram(f"instr {idx}: {ins.opcode} cannot take "
+                                   f"{len(ins.operands)} operands")
+        for pos, (kind, operand) in enumerate(zip(kinds, ins.operands)):
+            if not self._operand_fits(kind, operand, labels):
+                raise MalformedProgram(
+                    f"instr {idx}: {ins.opcode} operand {pos + 1} {operand!r} "
+                    f"is not {OPERAND_KINDS[kind]}")
 
-        def want(n):
-            if len(ops) != n:
-                raise MalformedProgram(
-                    f"instr {idx}: {op} expects {n} operands, got {len(ops)}")
-
-        def reg(o):
-            kind, val = o
-            if kind != "reg" or not 0 <= val < NUM_REGS:
-                raise MalformedProgram(f"instr {idx}: {op} needs a register")
-            return val
-
-        def reg_or_imm(o):
-            if o[0] not in ("reg", "imm"):
-                raise MalformedProgram(f"instr {idx}: bad operand for {op}")
-
-        def pointer_imm(o):
-            # Static addresses must land in ROM or RAM.
-            if o[0] == "imm" and o[1] >= ROM_BASE:
-                if not (self.in_rom(o[1]) or self.in_ram(o[1])):
-                    raise MalformedProgram(
-                        f"instr {idx}: address {o[1]:#x} outside ROM/RAM")
-
-        if op == "READ_REG":
-            want(2)
-            reg(ops[0])
-            if ops[1][0] != "periph" or ops[1][1] not in self.periphs:
-                raise MalformedProgram(
-                    f"instr {idx}: READ_REG needs a declared peripheral")
-        elif op == "LOADI":
-            want(2)
-            reg(ops[0])
-            reg_or_imm(ops[1])
-            pointer_imm(ops[1])
-        elif op == "MOV":
-            want(2)
-            reg(ops[0])
-            reg(ops[1])
-        elif op in ("AND", "OR", "CMP"):
-            want(3)
-            reg(ops[0])
-            reg(ops[1])
-            reg_or_imm(ops[2])
-        elif op in ("BZ", "BNZ"):
-            want(2)
-            reg(ops[0])
-            if ops[1][0] != "label" or ops[1][1] not in labels:
-                raise MalformedProgram(
-                    f"instr {idx}: branch to unknown label {ops[1][1]!r}")
-        elif op == "JMP":
-            want(1)
-            if ops[0][0] != "label" or ops[0][1] not in labels:
-                raise MalformedProgram(
-                    f"instr {idx}: branch to unknown label {ops[0][1]!r}")
-        elif op == "LOAD":
-            if len(ops) not in (2, 3):
-                raise MalformedProgram(f"instr {idx}: LOAD takes 2-3 operands")
-            reg(ops[0])
-            reg_or_imm(ops[1])
-            if ops[1][0] == "imm" and not (self.in_rom(ops[1][1])
-                                           or self.in_ram(ops[1][1])):
-                raise MalformedProgram(
-                    f"instr {idx}: LOAD address outside ROM/RAM")
-            if len(ops) == 3:
-                reg(ops[2])
-        elif op == "STORE":
-            if len(ops) not in (2, 3):
-                raise MalformedProgram(f"instr {idx}: STORE takes 2-3 operands")
-            # ROM immutability is enforced here: the destination must be a
-            # static RAM address, never a ROM address or a bare register.
-            if ops[0][0] != "imm" or not self.in_ram(ops[0][1]):
-                raise MalformedProgram(
-                    f"instr {idx}: STORE destination must be a RAM address")
-            reg_or_imm(ops[1])
-            if len(ops) == 3:
-                reg(ops[2])
-        elif op == "CALL":
-            want(3)
-            if ops[0][0] != "builtin" or ops[0][1] not in BUILTINS:
-                raise MalformedProgram(f"instr {idx}: unknown builtin")
-            for o in ops[1:]:
-                reg_or_imm(o)
-                pointer_imm(o)
-        elif op in ("CRASH", "HALT"):
-            want(0)
-        elif op == "LABEL":
-            want(1)
+    def _operand_fits(self, kind, operand, labels):
+        """Whether operand is valid where SIGNATURES has kind."""
+        tag, value = operand
+        if tag == "reg":
+            return kind in "rvam" and 0 <= value < NUM_REGS
+        if tag == "imm":
+            if kind == "v" or (kind == "a" and value < ROM_BASE):
+                return True
+            if kind == "w":
+                return self.in_ram(value)
+            return kind in "am" and (self.in_rom(value) or self.in_ram(value))
+        if tag == "periph":
+            return kind == "p" and value in self.periphs
+        if tag == "label":
+            return kind == "n" or (kind == "l" and value in labels)
+        return tag == "builtin" and kind == "b" and value in BUILTINS
 
     # -- basic blocks ----------------------------------------------------
 

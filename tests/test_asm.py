@@ -8,7 +8,8 @@ from scatterfuzz import FuzzInput, execute
 from scatterfuzz.asm import parse_scenario
 from scatterfuzz.errors import (DuplicateLabel, MalformedProgram, ParseError,
                                 UnknownLabel)
-from scatterfuzz.program import RAM_BASE, ROM_BASE
+from scatterfuzz.program import (RAM_BASE, ROM_BASE, SIGNATURES, Instruction,
+                                 TargetProgram)
 
 MINIMAL = """
 .rom greet "hi\\0"
@@ -111,6 +112,71 @@ def test_fallthrough_end_rejected():
 def test_bad_register():
     with pytest.raises(ParseError):
         parse_scenario('.rom s "a\\0"\n.ram 8\n  LOADI r9, 0\n  HALT\n')
+
+
+@pytest.mark.parametrize("line", [
+    "LABEL",
+    "LABEL r1",
+    "READ_REG r1, port, junk",
+    "CALL STRCMP, s, ram, r1",
+    "JMP a, b",
+    "BZ r1, a, b",
+])
+def test_malformed_instruction_line_rejected(line):
+    text = f'.rom s "a\\0"\n.ram 8\n.periph port\na:\nb:\n  {line}\n  HALT\n'
+    with pytest.raises(ParseError) as info:
+        parse_scenario(text)
+    assert info.value.line == 6
+
+
+def build(*instructions):
+    """A program with ROM "a\\0", 8 bytes of RAM, peripheral port, label x."""
+    return TargetProgram(
+        instructions=[Instruction("LABEL", (("label", "x"),)), *instructions,
+                      Instruction("HALT")],
+        rom=b"a\0", ram_size=8, periphs=("port",))
+
+
+@pytest.mark.parametrize("instruction", [
+    Instruction("LOADI", (("reg", 0), ("reg", 9))),
+    Instruction("LOADI", (("reg", 0), ("reg", -1))),
+    Instruction("LABEL", ()),
+])
+def test_validator_rejects_bad_register_and_bare_label(instruction):
+    with pytest.raises(MalformedProgram):
+        build(instruction)
+
+
+# kind, opcode, operands with None at the probed one, accepted, rejected
+KIND_CASES = [
+    ("r", "MOV", (("reg", 0), None), ("reg", 7), ("reg", 8)),
+    ("v", "CMP", (("reg", 0), ("reg", 1), None), ("imm", 0x7500),
+     ("reg", -1)),
+    ("a", "LOADI", (("reg", 0), None), ("imm", 5), ("imm", 0x7500)),
+    ("m", "LOAD", (("reg", 0), None), ("imm", ROM_BASE), ("imm", 5)),
+    ("w", "STORE", (None, ("imm", 1)), ("imm", RAM_BASE + 7),
+     ("imm", ROM_BASE)),
+    ("p", "READ_REG", (("reg", 0), None), ("periph", "port"),
+     ("periph", "ghost")),
+    ("l", "JMP", (None,), ("label", "x"), ("label", "y")),
+    ("b", "CALL", (None, ("imm", ROM_BASE), ("imm", RAM_BASE)),
+     ("builtin", "MEMCMP"), ("builtin", "MEMCPY")),
+    ("n", "LABEL", (None,), ("label", "y"), ("imm", 0)),
+]
+
+
+@pytest.mark.parametrize("kind, opcode, operands, good, bad", KIND_CASES,
+                         ids=[case[0] for case in KIND_CASES])
+def test_operand_kind(kind, opcode, operands, good, bad):
+    assert SIGNATURES[opcode].replace("|", "")[operands.index(None)] == kind
+
+    def probe(operand):
+        return Instruction(opcode, tuple(operand if o is None else o
+                                         for o in operands))
+
+    build(probe(good))
+    with pytest.raises(MalformedProgram):
+        build(probe(bad))
 
 
 def test_bad_escape():

@@ -16,8 +16,7 @@ def make_report(vals, budget=1000):
                       config_digest="cfg", budget=budget)
     for i, v in enumerate(vals):
         rep.trials.append(TrialOutcome(seed=i + 1, solves={"cmp_x": v},
-                                       unique_blocks=10 + i, crashes=0,
-                                       executions=budget))
+                                       unique_blocks=10 + i, crashes=0))
     return rep
 
 

@@ -90,6 +90,10 @@ def test_load_corpus_from_explicit_dir():
         {s.name for s in load_corpus()}
 
 
+ENTRY = ('[{"name": "x", "category": %s, "file": %s, '
+         '"expected_strings": %s}]')
+
+
 @pytest.mark.parametrize("manifest", [
     None,                                     # no manifest.json
     '[{"name": "x"',                          # JSON syntax error
@@ -97,6 +101,13 @@ def test_load_corpus_from_explicit_dir():
     "[5]",                                    # an entry is not an object
     '[{"name": "x"}]',                        # entry lacks keys
     '[{"name": "x", "category": "guarded", "file": "x.s"}]',
+    ENTRY % ('"guarded"', '"missing.s"', "[]"),     # file does not exist
+    ENTRY % ('"guarded"', "5", "[]"),               # file is not a string
+    ENTRY % ('"guarded"', '"."', "[]"),             # file is a directory
+    ENTRY % ('"guarded"', '"x.s"', "5"),            # pairs not a list
+    ENTRY % ('"guarded"', '"x.s"', '[["label"]]'),  # pair lacks its string
+    ENTRY % ('"guarded"', '"x.s"', '"ab"'),         # pairs is a string
+    ENTRY % ('["guarded"]', '"x.s"', "[]"),         # category is a list
 ])
 def test_malformed_manifest_rejected(tmp_path, manifest):
     (tmp_path / "x.s").write_text('.rom s "a\\0"\n.ram 8\n  HALT\n')

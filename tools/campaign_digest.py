@@ -3,13 +3,15 @@
 
 Covers every bundled scenario x solver on/off x seeds 1-3 at 20k
 executions.  Each line holds the scenario, the solver arm, the seed, the
-campaign's CampaignStats, the coverage bit count, a SHA-256 of the
-queue, one SHA-256 each over the campaign's stats.jsonl and
-solver.jsonl lines, a SHA-256 of the coverage bitmap as bitmap.bin
-stores it, and a SHA-256 over the (execution id, input) pairs the
-crashes/ directory stores.  Two checkouts that behave the same print
-the same text, so a change meant to keep behaviour is checked by
-diffing this output before and after it.  Run from the repository root:
+campaign's CampaignStats, a SHA-256 of the scenario's parsed program
+(instructions, ROM, RAM size, peripherals, labels and block starts), the
+coverage bit count, a SHA-256 of the queue, one SHA-256 each over the
+campaign's stats.jsonl and solver.jsonl lines, a SHA-256 of the
+coverage bitmap as bitmap.bin stores it, and a SHA-256 over the
+(execution id, input) pairs the crashes/ directory stores.  Two
+checkouts that behave the same print the same text, so a change meant
+to keep behaviour is checked by diffing this output before and after
+it.  Run from the repository root:
 
     python tools/campaign_digest.py > digest.txt
 """
@@ -39,11 +41,19 @@ def digest_line(scenario, solver, seed):
     arm = "solver-on" if solver else "solver-off"
     return (f"{scenario.name} {arm} seed{seed} "
             f"{json.dumps(dataclasses.asdict(stats), sort_keys=True)} "
+            f"program={program_digest(scenario.program)} "
             f"bits={campaign.cov.bit_count()} queue={queue.hexdigest()} "
             f"stats={lines_digest(campaign._stats_lines)} "
             f"solver={lines_digest(campaign._solver_lines)} "
             f"bitmap={hashlib.sha256(campaign.cov.to_bytes()).hexdigest()} "
             f"crashes={crashes_digest(campaign._crash_blobs)}")
+
+
+def program_digest(program):
+    """SHA-256 of what the assembler and validator made of a scenario."""
+    parsed = (program.instructions, program.rom, program.ram_size,
+              program.periphs, program.blocks, program.block_starts)
+    return hashlib.sha256(repr(parsed).encode()).hexdigest()
 
 
 def lines_digest(lines):
