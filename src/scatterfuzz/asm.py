@@ -5,15 +5,15 @@ One instruction per line.  Directives: ``.rom <name> "<escaped bytes>"``,
 line, comments start with ``;``.  ROM strings use C-style escapes and a
 trailing explicit ``\\0`` when NUL termination is intended.  Each
 mnemonic's operands are listed by kind in ``program.SIGNATURES``.  Parse
-errors name the offending line, except ``UnknownLabel``, which names the
-missing label.
+and validation errors name the offending source line; ``UnknownLabel``
+names the first branch to the missing label.
 """
 
 from __future__ import annotations
 
 import re
 
-from .errors import DuplicateLabel, ParseError, UnknownLabel
+from .errors import DuplicateLabel, MalformedProgram, ParseError, UnknownLabel
 from .program import (BUILTINS, NUM_REGS, RAM_BASE, ROM_BASE, SIGNATURES,
                       Instruction, TargetProgram, operand_kinds)
 
@@ -77,6 +77,7 @@ def parse_scenario(text: str, name: str = "") -> TargetProgram:
     ram_size = None
     periphs: list[str] = []
     instructions: list[Instruction] = []
+    source_lines: list[int] = []   # the line of each instruction
     label_lines: dict[str, int] = {}
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -100,29 +101,31 @@ def parse_scenario(text: str, name: str = "") -> TargetProgram:
             if label in label_lines:
                 raise DuplicateLabel(f"duplicate label {label!r}", line_no, 0)
             label_lines[label] = line_no
-            instructions.append(Instruction("LABEL", (("label", label),)))
-            continue
-
-        instructions.append(
-            _parse_instruction(line, line_no, rom_symbols))
+            ins = Instruction("LABEL", (("label", label),))
+        else:
+            ins = _parse_instruction(line, line_no, rom_symbols)
+        instructions.append(ins)
+        source_lines.append(line_no)
 
     if ram_size is None:
         ram_size = 256
 
     # Late resolution: branch targets must exist.
-    for ins in instructions:
+    for ins, line_no in zip(instructions, source_lines):
         for tag, value in ins.operands:
             if tag == "label" and value not in label_lines:
-                raise UnknownLabel(f"branch to undefined label {value!r}")
+                raise UnknownLabel(f"branch to undefined label {value!r}",
+                                   line_no, 0)
 
-    program = TargetProgram(
-        instructions=instructions,
-        rom=bytes(rom),
-        ram_size=ram_size,
-        periphs=tuple(periphs),
-        name=name,
-    )
-    return program
+    try:
+        return TargetProgram(instructions=instructions, rom=bytes(rom),
+                             ram_size=ram_size, periphs=tuple(periphs),
+                             name=name)
+    except MalformedProgram as exc:
+        if exc.index is None:
+            raise
+        raise MalformedProgram(exc.reason, exc.index,
+                               source_lines[exc.index]) from None
 
 
 def _parse_directive(line, line_no, rom, rom_symbols, periphs):

@@ -114,7 +114,8 @@ def cmd_solve(args):
     program = scenario.program
     cmp_id = label_to_cmp_id(program, args.cmp)
     base = FuzzInput(Path(args.input_file).read_bytes())
-    rec = find_record(execute(program, base), CmpKey(cmp_id, 0))
+    rec = find_record(execute(program, base, read_log=False),
+                      CmpKey(cmp_id, 0))
     if rec is None:
         print(f"input does not reach comparison {args.cmp!r} "
               f"(call site {cmp_id})", file=sys.stderr)
@@ -122,7 +123,8 @@ def cmd_solve(args):
 
     events = []
     result = solve_with_alignments(
-        rec, base, lambda fi: execute(program, fi), log=events.append)
+        rec, base, lambda fi: execute(program, fi, read_log=False),
+        log=events.append)
     for ev in events:
         print(json.dumps(ev))
     print(f"status: {result.status.value}")

@@ -5,7 +5,9 @@ address is logged as a candidate string comparison, no matter which
 builtin was invoked.  False positives (e.g. printing a static string to
 a device structure) are allowed; the solver abandons them cheaply.
 Each record carries the builtin's own verdict, so "solved" means
-exactly what the firmware's comparison decided.
+exactly what the firmware's comparison decided.  A builtin reads at most
+MAX_STRLEN (128) bytes through each pointer, and these are the bytes a
+record's snapshots hold.
 """
 
 from __future__ import annotations

@@ -16,7 +16,8 @@ from pathlib import Path
 
 from .asm import parse_scenario
 from .errors import ScenarioValidationError
-from .program import ROM_BASE, TargetProgram
+from .program import TargetProgram
+from .vm import read_target
 
 CATEGORIES = frozenset({
     "guarded", "console", "interleaved", "scattered", "substring",
@@ -52,26 +53,21 @@ def label_to_cmp_id(program: TargetProgram, label: str) -> int:
         f"{program.name}: no CALL after label {label!r}")
 
 
-def _rom_cstring(program: TargetProgram, addr: int) -> bytes:
-    off = addr - ROM_BASE
-    end = program.rom.find(0, off)
-    return program.rom[off:end if end >= 0 else len(program.rom)]
-
-
 def resolve_expected(program: TargetProgram, pairs) -> list[ExpectedString]:
     """Resolve (label, string) ground truth against the program.
 
     Validates that the labeled CALL really carries a ROM pointer whose
-    NUL-terminated string equals the declared one.
+    C string, as a builtin reads it, equals the declared one.
     """
     out = []
     for label, text in pairs:
         cmp_id = label_to_cmp_id(program, label)
         ins = program.instructions[cmp_id]
-        rom_args = [o[1] for o in ins.operands[1:]
-                    if o[0] == "imm" and program.in_rom(o[1])]
+        rom_reads = [read_target(program, None, o[1])
+                     for o in ins.operands[1:]
+                     if o[0] == "imm" and program.in_rom(o[1])]
         want = text.encode() if isinstance(text, str) else bytes(text)
-        if not any(_rom_cstring(program, a) == want for a in rom_args):
+        if not any(s.partition(b"\0")[0] == want for s in rom_reads):
             raise ScenarioValidationError(
                 f"{program.name}: CALL at {label!r} does not compare "
                 f"against {want!r}")

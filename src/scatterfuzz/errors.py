@@ -6,7 +6,19 @@ class ScatterFuzzError(Exception):
 
 
 class MalformedProgram(ScatterFuzzError):
-    """Program failed static validation (a scenario authoring bug)."""
+    """Program failed static validation (a scenario authoring bug).
+
+    ``index`` is the offending instruction's position in the program and
+    ``line`` its source line, when known.
+    """
+
+    def __init__(self, message, index=None, line=None):
+        self.reason, self.index, self.line = message, index, line
+        if line is not None:
+            message = f"line {line}: {message}"
+        elif index is not None:
+            message = f"instr {index}: {message}"
+        super().__init__(message)
 
 
 class ParseError(ScatterFuzzError):

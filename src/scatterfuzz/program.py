@@ -116,7 +116,7 @@ class TargetProgram:
                 self._check_instruction(idx, ins, labels)
                 name = ins.operands[0][1]
                 if name in labels:
-                    raise MalformedProgram(f"duplicate label {name!r}")
+                    raise MalformedProgram(f"duplicate label {name!r}", idx)
                 labels[name] = idx
         self.blocks = labels
 
@@ -126,23 +126,28 @@ class TargetProgram:
         last = self.instructions[-1]
         if last.opcode not in TERMINAL_OPS:
             raise MalformedProgram("program may fall off the end; "
-                                   "last instruction must be HALT/CRASH/JMP")
+                                   "last instruction must be HALT/CRASH/JMP",
+                                   len(self.instructions) - 1)
         self._compute_blocks()
 
     def _check_instruction(self, idx, ins, labels):
         kinds = operand_kinds(ins.opcode, len(ins.operands))
         if kinds is None:
-            raise MalformedProgram(f"instr {idx}: {ins.opcode} cannot take "
-                                   f"{len(ins.operands)} operands")
+            raise MalformedProgram(f"{ins.opcode} cannot take "
+                                   f"{len(ins.operands)} operands", idx)
         for pos, (kind, operand) in enumerate(zip(kinds, ins.operands)):
             if not self._operand_fits(kind, operand, labels):
                 raise MalformedProgram(
-                    f"instr {idx}: {ins.opcode} operand {pos + 1} {operand!r} "
-                    f"is not {OPERAND_KINDS[kind]}")
+                    f"{ins.opcode} operand {pos + 1} {operand!r} "
+                    f"is not {OPERAND_KINDS[kind]}", idx)
 
     def _operand_fits(self, kind, operand, labels):
         """Whether operand is valid where SIGNATURES has kind."""
+        if not (isinstance(operand, tuple) and len(operand) == 2):
+            return False
         tag, value = operand
+        if not isinstance(value, int if tag in ("reg", "imm") else str):
+            return False
         if tag == "reg":
             return kind in "rvam" and 0 <= value < NUM_REGS
         if tag == "imm":

@@ -10,6 +10,11 @@ There is one compiled form of a block.  The read log is derived from
 the cursor: it moves only in READ_REG, and a block's reads run in static
 order until it exits, so a block that moved the cursor by k made the
 first k of its reads.
+
+Each builtin reads at most MAX_STRLEN (128) bytes through each pointer:
+through read_target, or, at a compiled STRCMP site, by the same bounded
+slice of RAM.  These are the bytes a comparison record holds, so its
+strings agree with the builtin's verdict.
 """
 
 from __future__ import annotations
@@ -47,17 +52,17 @@ class ExecutionTrace:
     cmp_overflow: int = 0
 
 
-# Bytes a string builtin reads from one pointer; records keep MAX_STRLEN.
-_CSTR_LIMIT = 256
-
-
-def _cstring(seg, off):
-    """The C string at seg[off]: up to the first NUL, _CSTR_LIMIT bytes or
-    the segment end, whichever comes first."""
-    end = seg.find(0, off, off + _CSTR_LIMIT)
-    if end < 0:
-        end = min(len(seg), off + _CSTR_LIMIT)
-    return bytes(seg[off:end])
+def read_target(program, ram, addr):
+    """The bytes a builtin reads through pointer addr: at most MAX_STRLEN,
+    up to the end of addr's segment, none outside ROM and RAM.  Bytes
+    past these read as 0.  ram may be None for a ROM addr."""
+    if program.in_rom(addr):
+        seg, off = program.rom, addr - ROM_BASE
+    elif program.in_ram(addr):
+        seg, off = ram, addr - RAM_BASE
+    else:
+        return b""
+    return seg[off:off + MAX_STRLEN]
 
 
 def _classify(program, a0, a1):
@@ -65,8 +70,8 @@ def _classify(program, a0, a1):
 
     A CALL is logged as a candidate string comparison iff one pointer is
     in ROM and the other in RAM.  Returns what depends only on the two
-    pointers, ``(ideal snapshot, ideal_len, observed RAM offset)``, or
-    None for a call that is not logged.
+    pointers, ``(ideal snapshot, the ROM C string, observed RAM
+    offset)``, or None for a call that is not logged.
     """
     if program.in_rom(a0) and program.in_ram(a1):
         ideal_addr, obs_addr = a0, a1
@@ -74,9 +79,8 @@ def _classify(program, a0, a1):
         ideal_addr, obs_addr = a1, a0
     else:
         return None
-    off = ideal_addr - ROM_BASE
-    ideal = program.rom[off:off + MAX_STRLEN]
-    return ideal, strlen_bounded(ideal), obs_addr - RAM_BASE
+    ideal = read_target(program, None, ideal_addr)
+    return ideal, ideal.partition(b"\0")[0], obs_addr - RAM_BASE
 
 
 def _satisfied(builtin, ret):
@@ -121,7 +125,7 @@ class _State:
             self.log(idx, *facts, _satisfied(builtin, ret))
         return ret
 
-    def log(self, idx, ideal, ideal_len, obs_off, satisfied):
+    def log(self, idx, ideal, key, obs_off, satisfied):
         """Record one hit of a logged call site, within the caps.
 
         Hits past MAX_HITS_PER_SITE, and sites past MAX_CMP_SITES, are
@@ -142,61 +146,37 @@ class _State:
         self.comparisons.append(ComparisonRecord(
             cmp_id=idx, hit_index=h, observed=obs, ideal=ideal,
             read_cursor=self.cursor, observed_len=strlen_bounded(obs),
-            ideal_len=ideal_len, satisfied=satisfied))
-
-    def _byte(self, addr):
-        prog = self.program
-        if prog.in_rom(addr):
-            return prog.rom[addr - ROM_BASE]
-        if prog.in_ram(addr):
-            return self.ram[addr - RAM_BASE]
-        return None
-
-    def _cstr(self, addr):
-        prog = self.program
-        if prog.in_rom(addr):
-            return _cstring(prog.rom, addr - ROM_BASE)
-        if prog.in_ram(addr):
-            return _cstring(self.ram, addr - RAM_BASE)
-        return b""
+            ideal_len=len(key), satisfied=satisfied))
 
     def _builtin(self, name, a0, a1):
+        """Builtin name's return value; STRNCMP and MEMCMP compare r2 bytes."""
         if name == "PRINT":
             return 0
-        if name == "STRCMP":
-            return 0 if self._cstr(a0) == self._cstr(a1) else 1
-        if name == "STRNCMP":
-            n = self.r[2]
-            for i in range(n):
-                ca = self._byte(a0 + i) or 0
-                cb = self._byte(a1 + i) or 0
-                if ca != cb:
-                    return 1
-                if ca == 0:
-                    return 0
-            return 0
+        s0 = read_target(self.program, self.ram, a0)
+        s1 = read_target(self.program, self.ram, a1)
+        if name in ("STRNCMP", "MEMCMP"):
+            n = max(self.r[2], 0)
+            s0, s1 = s0[:n], s1[:n]
         if name == "MEMCMP":
-            n = self.r[2]
-            for i in range(n):
-                if (self._byte(a0 + i) or 0) != (self._byte(a1 + i) or 0):
-                    return 1
-            return 0
+            # The shorter span is padded with the 0s read past its end.
+            return 0 if (s0.ljust(len(s1), b"\0")
+                         == s1.ljust(len(s0), b"\0")) else 1
+        s0 = s0.partition(b"\0")[0]
+        s1 = s1.partition(b"\0")[0]
         if name == "STRSTR":
-            hay = self._cstr(a0)
-            needle = self._cstr(a1)
-            if not needle:
+            if not s1:
                 return a0
-            pos = hay.find(needle)
+            pos = s0.find(s1)
             return 0 if pos < 0 else a0 + pos
-        raise AssertionError(f"unknown builtin {name}")
+        return 0 if s0 == s1 else 1
 
 
 def _site(program, idx, builtin, a0, a1):
     """Compile the CALL at idx, whose pointers a0 and a1 are immediates.
 
     Everything that depends only on the site is settled here, once: the
-    classification, the ideal snapshot and length, and for a logged
-    STRCMP the ROM string it compares against and its verdict rule.
+    classification, the ideal snapshot and the ROM C string, which a
+    logged STRCMP compares against, and its verdict rule.
     RAM, r2 and the read cursor are still read when the site runs.
     """
     facts = _classify(program, a0, a1)
@@ -204,24 +184,22 @@ def _site(program, idx, builtin, a0, a1):
         def site(st):
             return st._builtin(builtin, a0, a1)
         return site
-    ideal, ideal_len, obs_off = facts
+    ideal, key, obs_off = facts
     if builtin == "STRCMP":
-        # _cstring of both sides, with the ROM side read once.
-        key = _cstring(program.rom,
-                       (a0 if program.in_rom(a0) else a1) - ROM_BASE)
-        lim = obs_off + _CSTR_LIMIT
+        # The builtin's bounded read of the RAM side, against the key.
+        lim = obs_off + MAX_STRLEN
 
         def site(st):
             ram = st.ram
             end = ram.find(0, obs_off, lim)
             eq = ram[obs_off:end if end >= 0 else lim] == key
-            st.log(idx, ideal, ideal_len, obs_off, eq)
+            st.log(idx, ideal, key, obs_off, eq)
             return 0 if eq else 1
         return site
 
     def site(st):
         ret = st._builtin(builtin, a0, a1)
-        st.log(idx, ideal, ideal_len, obs_off, _satisfied(builtin, ret))
+        st.log(idx, ideal, key, obs_off, _satisfied(builtin, ret))
         return ret
     return site
 

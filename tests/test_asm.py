@@ -65,8 +65,19 @@ def test_default_ram_size():
 
 
 def test_unknown_label_raises():
-    with pytest.raises(UnknownLabel):
-        parse_scenario('.rom s "a\\0"\n.ram 8\n  JMP nowhere\n')
+    with pytest.raises(UnknownLabel) as info:
+        parse_scenario('.rom s "a\\0"\n.ram 8\n  JMP nowhere\n'
+                       '  BZ r1, nowhere\n')
+    assert info.value.line == 3
+
+
+def test_validator_error_names_source_line():
+    """Not the instruction index, which counts labels and skips blanks."""
+    text = '.rom s "a\\0"\n.ram 8\nx:\n\n  STORE r1, 5\n  HALT\n'
+    with pytest.raises(MalformedProgram) as info:
+        parse_scenario(text)
+    assert info.value.line == 5
+    assert str(info.value).startswith("line 5: STORE operand 1")
 
 
 def test_duplicate_label_raises():
@@ -141,6 +152,9 @@ def build(*instructions):
     Instruction("LOADI", (("reg", 0), ("reg", 9))),
     Instruction("LOADI", (("reg", 0), ("reg", -1))),
     Instruction("LABEL", ()),
+    Instruction("LOADI", (("reg",), ("imm", 0))),
+    Instruction("LOADI", (5, ("imm", 0))),
+    Instruction("LOADI", (("reg", "x"), ("imm", 0))),
 ])
 def test_validator_rejects_bad_register_and_bare_label(instruction):
     with pytest.raises(MalformedProgram):

@@ -1,9 +1,12 @@
 """Corpus loading, ground-truth resolution, category coverage."""
 
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from scatterfuzz import FuzzInput, execute, load_corpus, load_scenario
-from scatterfuzz.corpus import (CATEGORIES, label_to_cmp_id,
+from scatterfuzz.corpus import (CATEGORIES, bundled_dir, label_to_cmp_id,
                                 resolve_expected)
 from scatterfuzz.errors import ScenarioValidationError
 
@@ -84,10 +87,24 @@ def test_load_scenario_from_path(tmp_path):
 
 
 def test_load_corpus_from_explicit_dir():
-    from scatterfuzz.corpus import bundled_dir
     scenarios = load_corpus(bundled_dir())
     assert {s.name for s in scenarios} == \
         {s.name for s in load_corpus()}
+
+
+def test_make_corpus_reproduces_bundled(tmp_path):
+    """tools/make_corpus.py regenerates the bundled scenarios byte for byte."""
+    tool = Path(__file__).resolve().parent.parent / "tools/make_corpus.py"
+    spec = importlib.util.spec_from_file_location("make_corpus", tool)
+    make_corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(make_corpus)
+    make_corpus.main(tmp_path)
+    bundled = {p.name for p in bundled_dir().iterdir()
+               if p.suffix == ".s" or p.name == "manifest.json"}
+    assert {p.name for p in tmp_path.iterdir()} == bundled
+    for name in bundled:
+        assert (tmp_path / name).read_bytes() == \
+            (bundled_dir() / name).read_bytes(), name
 
 
 ENTRY = ('[{"name": "x", "category": %s, "file": %s, '

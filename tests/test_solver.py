@@ -9,6 +9,7 @@ from scatterfuzz import solve_with_alignments, colorize
 from scatterfuzz.asm import parse_scenario
 from scatterfuzz.cmplog import CmpKey, find_record
 from scatterfuzz.errors import InconsistentBaseline
+from scatterfuzz.program import MAX_STRLEN
 from scatterfuzz.solver import (DEFAULT_DELIMITERS, SolveStatus,
                                 candidate_positions, default_exec_budget)
 
@@ -139,6 +140,26 @@ def test_mapping_stops_once_substring_found():
     assert res.solved_input.bytes == b"OKcd"
     assert res.executions_used == 3
     assert res.mapped == [(0, 0), (1, 1)]
+
+
+def test_key_longer_than_record_is_solved():
+    """A 200-character STRCMP key: the builtin compares MAX_STRLEN bytes.
+
+    The record holds the first MAX_STRLEN bytes of each side, which are
+    what STRCMP compares, so locking all of them satisfies the site.
+    """
+    reads = "".join(f"  READ_REG r1, p\n  STORE ram+{i}, r1\n"
+                    for i in range(200))
+    text = (f'.rom key "{"A" * 200}\\0"\n.ram 256\n.periph p\n{reads}'
+            'cmp_key:\n  CALL STRCMP, key, ram\n  HALT\n')
+    program = parse_scenario(text)
+    fi = FuzzInput(bytes(range(1, 201)))
+    rec = execute(program, fi).comparisons[0]
+    assert len(rec.ideal_str) == len(rec.observed_str) == MAX_STRLEN
+    res = solve_with_alignments(rec, fi, lambda f: execute(program, f))
+    assert res.status is SolveStatus.SOLVED
+    assert res.solved_input.bytes[:MAX_STRLEN] == b"A" * MAX_STRLEN
+    assert res.mapped == [(i, i) for i in range(MAX_STRLEN)]
 
 
 def test_false_positive_abandoned_cheaply(corpus, get_key):

@@ -1,5 +1,6 @@
 """Executor semantics: stream reads, branching, builtins, crashes, edges."""
 
+import time
 from typing import NamedTuple
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from scatterfuzz import ExitReason, FuzzInput, execute
 from scatterfuzz.asm import parse_scenario
-from scatterfuzz.program import BUILTINS, ROM_BASE, block_edge_id
+from scatterfuzz.program import BUILTINS, MAX_STRLEN, ROM_BASE, block_edge_id
 from scatterfuzz.vm import compile_program
 
 
@@ -83,25 +84,58 @@ def test_cmp_and_branches():
     assert t_yes.blocks != t_no.blocks
 
 
+def escaped(data):
+    """data as the body of a .rom string."""
+    return "".join(f"\\x{b:02x}" for b in data)
+
+
+def returns_zero(builtin, rom, ram_bytes, n):
+    """Whether builtin(ROM string rom, RAM holding ram_bytes) with r2 = n
+    returns 0; the execution must take under a second.
+
+    r2 is set through OR, since LOADI takes only pointer-sized values.
+    """
+    stores = "\n".join(f"  STORE ram+{i}, {b}"
+                       for i, b in enumerate(ram_bytes))
+    # r0 is not directly visible in the trace; infer it via the branch.
+    text = (f'.rom s "{escaped(rom)}"\n.ram 256\n{stores}\n'
+            f'  LOADI r2, 0\n  OR r2, r2, {n}\n'
+            f'  CALL {builtin}, s, ram\n  BZ r0, hit\n  HALT\n'
+            'hit:\n  STORE ram+255, 1\n  HALT\n')
+    program = parse_scenario(text)
+    t0 = time.perf_counter()
+    t = execute(program, FuzzInput(b""))
+    assert time.perf_counter() - t0 < 1.0
+    assert t.exit is ExitReason.HALT
+    return len(program.block_starts) - 1 in t.blocks
+
+
 @pytest.mark.parametrize("builtin,ram_bytes,n,expect_zero", [
     ("STRNCMP", b"ab", 2, True),
     ("STRNCMP", b"ax", 2, False),
     ("STRNCMP", b"ax", 1, True),
     ("MEMCMP", b"ab\x00", 3, True),
     ("MEMCMP", b"ab\x01", 3, False),
+    ("MEMCMP", b"ax", -1, True),
 ])
 def test_bounded_builtins(builtin, ram_bytes, n, expect_zero):
-    stores = "\n".join(f"  STORE ram+{i}, {b}"
-                       for i, b in enumerate(ram_bytes))
-    # r0 is not directly visible in the trace; infer it via the branch.
-    text = (f'.rom s "ab\\0"\n.ram 8\n{stores}\n  LOADI r2, {n}\n'
-            f'  CALL {builtin}, s, ram\n  BZ r0, hit\n  HALT\n'
-            'hit:\n  STORE ram+7, 1\n  HALT\n')
-    program = parse_scenario(text)
-    t = execute(program, FuzzInput(b""))
-    hit_block = len(program.block_starts) - 1
-    assert (hit_block in t.blocks) == expect_zero
-    assert t.exit is ExitReason.HALT
+    assert returns_zero(builtin, b"ab\0", ram_bytes, n) == expect_zero
+
+
+_LONG = b"a" * MAX_STRLEN
+
+
+@pytest.mark.parametrize("builtin,rom,ram_bytes,expect_zero", [
+    ("MEMCMP", _LONG + b"b", _LONG + b"c", True),
+    ("MEMCMP", _LONG[1:] + b"b", _LONG, False),
+    ("STRNCMP", _LONG + b"b", _LONG + b"c", True),
+], ids=["memcmp-differ-past-clamp", "memcmp-differ-at-last-byte",
+        "strncmp-differ-past-clamp"])
+def test_builtins_read_max_strlen_bytes(builtin, rom, ram_bytes,
+                                        expect_zero):
+    """With r2 far past both segments, each pointer is read for exactly
+    MAX_STRLEN bytes: spans that differ only past them are equal."""
+    assert returns_zero(builtin, rom, ram_bytes, 0x7FFFFFFF) == expect_zero
 
 
 def test_strstr_found_and_missing(corpus):
@@ -217,10 +251,8 @@ def call_program(case, registers):
     """
     a0, a1 = ("r4", "r5") if registers else (case.a0, case.a1)
 
-    def rom(data):
-        return "".join(f"\\x{b:02x}" for b in data)
-
-    lines = [f'.rom key "{rom(case.key)}"', f'.rom other "{rom(case.other)}"',
+    lines = [f'.rom key "{escaped(case.key)}"',
+             f'.rom other "{escaped(case.other)}"',
              f".ram {case.ram_size}", ".periph p", f"  LOADI r2, {case.n}"]
     lines += [f"  STORE ram+{i}, {b}" for i, b in enumerate(case.fill)]
     lines += ["top:", "  READ_REG r1, p", f"  STORE ram+{case.j}, r1",
@@ -279,19 +311,26 @@ def call_cases(draw):
 
 @settings(max_examples=300, deadline=None)
 @example(CallCase("STRCMP", b"a" * 300, b"\0", 300, b"a" * 300, "ram+0",
+                  "key", 0, 127, None, b"abb" * 20))
+@example(CallCase("STRCMP", b"a" * 300, b"\0", 300, b"a" * 300, "ram+0",
                   "key", 0, 255, None, b"abb" * 20))
 @given(call_cases())
 def test_immediate_sites_match_register_calls(case):
     """Compile-time specialized CALL sites behave like the generic call.
 
-    In the example both strings are 300 NUL-free bytes, of which STRCMP
-    reads 256 and the records keep 128; they are equal exactly when the
-    loop writes an "a" at offset 255, and the loop passes
-    MAX_HITS_PER_SITE.
+    In the examples both strings are 300 NUL-free bytes, of which STRCMP
+    reads the first MAX_STRLEN (128), the bytes the records keep; they
+    are equal exactly when the loop writes an "a" at offset 127, and
+    always when it writes at offset 255.  The first example's loop
+    passes MAX_HITS_PER_SITE.  A STRCMP record is satisfied exactly when
+    its two strings are equal.
     """
     imm = execute(call_program(case, registers=False), FuzzInput(case.data))
     reg = execute(call_program(case, registers=True), FuzzInput(case.data))
     assert imm.comparisons == reg.comparisons
+    if case.builtin == "STRCMP":
+        for rec in imm.comparisons:
+            assert rec.satisfied == (rec.observed_str == rec.ideal_str)
     assert (imm.cmp_overflow, imm.exit, imm.final_cursor, imm.steps,
             imm.edges, imm.read_log) == \
            (reg.cmp_overflow, reg.exit, reg.final_cursor, reg.steps,

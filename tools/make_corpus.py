@@ -6,7 +6,8 @@ unrolled here instead of written by hand.  Run from the repository root:
 
     python tools/make_corpus.py
 
-Writes .s files and manifest.json into src/scatterfuzz/scenarios/.
+Writes .s files and manifest.json into src/scatterfuzz/scenarios/, or
+into the directory main() is given.
 """
 
 import json
@@ -375,19 +376,19 @@ SCENARIOS = [
 ]
 
 
-def main():
-    OUT.mkdir(parents=True, exist_ok=True)
+def main(out=OUT):
+    out.mkdir(parents=True, exist_ok=True)
     manifest = []
     for name, category, text, expected in SCENARIOS:
-        (OUT / f"{name}.s").write_text(text)
+        (out / f"{name}.s").write_text(text)
         manifest.append({
             "name": name,
             "file": f"{name}.s",
             "category": category,
             "expected_strings": expected,
         })
-    (OUT / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
-    print(f"wrote {len(SCENARIOS)} scenarios to {OUT}")
+    (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    print(f"wrote {len(SCENARIOS)} scenarios to {out}")
 
 
 if __name__ == "__main__":
