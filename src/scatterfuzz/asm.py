@@ -61,9 +61,15 @@ def _parse_int(tok, line_no, col):
 
 
 def _strip_comment(line):
-    in_str = False
+    """line without its comment; inside a string, a backslash escapes
+    the next character, as in _decode_rom_string."""
+    in_str = escaped = False
     for i, c in enumerate(line):
-        if c == '"' and (i == 0 or line[i - 1] != "\\"):
+        if escaped:
+            escaped = False
+        elif in_str and c == "\\":
+            escaped = True
+        elif c == '"':
             in_str = not in_str
         elif c == ";" and not in_str:
             return line[:i]

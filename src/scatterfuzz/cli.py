@@ -66,6 +66,15 @@ def build_parser():
     return parser
 
 
+def _load(path, parse):
+    """parse(the bytes of file path), raising ConfigError naming path when
+    the file cannot be read or parsed."""
+    try:
+        return parse(Path(path).read_bytes())
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+
+
 def cmd_fuzz(args):
     scenario = load_scenario(args.scenario)
     config = CampaignConfig(
@@ -91,10 +100,7 @@ def cmd_fuzz(args):
 def cmd_bench(args):
     scenarios = load_corpus(args.corpus)
     if args.matrix:
-        try:
-            matrix = json.loads(Path(args.matrix).read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"--matrix {args.matrix}: {exc}") from None
+        matrix = _load(args.matrix, json.loads)
     else:
         matrix = [{"solver": True}, {"solver": False}]
     reports = bench_mod.run_bench(scenarios, args.trials, matrix)
@@ -113,9 +119,8 @@ def cmd_solve(args):
     scenario = load_scenario(args.scenario)
     program = scenario.program
     cmp_id = label_to_cmp_id(program, args.cmp)
-    base = FuzzInput(Path(args.input_file).read_bytes())
-    rec = find_record(execute(program, base, read_log=False),
-                      CmpKey(cmp_id, 0))
+    base = _load(args.input_file, FuzzInput)
+    rec = find_record(execute(program, base), CmpKey(cmp_id, 0))
     if rec is None:
         print(f"input does not reach comparison {args.cmp!r} "
               f"(call site {cmp_id})", file=sys.stderr)
@@ -123,8 +128,7 @@ def cmd_solve(args):
 
     events = []
     result = solve_with_alignments(
-        rec, base, lambda fi: execute(program, fi, read_log=False),
-        log=events.append)
+        rec, base, lambda fi: execute(program, fi), log=events.append)
     for ev in events:
         print(json.dumps(ev))
     print(f"status: {result.status.value}")
@@ -138,14 +142,14 @@ def cmd_solve(args):
 def cmd_report(args):
     root = Path(args.dir)
     if (root / "report.json").exists():
-        machine = json.loads((root / "report.json").read_text())
+        machine = _load(root / "report.json", json.loads)
         if (root / "report.txt").exists():
             print((root / "report.txt").read_text(), end="")
         else:
             print(json.dumps(machine, indent=2))
         return 0
     if (root / "summary.json").exists():
-        summary = json.loads((root / "summary.json").read_text())
+        summary = _load(root / "summary.json", json.loads)
         print(f"campaign {root}")
         for key, val in summary.items():
             print(f"  {key}: {val}")

@@ -112,8 +112,7 @@ class Campaign:
         """Run one input, account it, and fold its trace: (trace, result)."""
         if self.stats.executions >= self.config.max_executions:
             raise _CampaignDone
-        trace = execute(self.program, data, budget=self.config.instr_budget,
-                        read_log=False)
+        trace = execute(self.program, data, budget=self.config.instr_budget)
         self.stats.executions += 1
         self.stats.cmp_overflow += trace.cmp_overflow
         self.blocks_seen |= trace.blocks

@@ -6,10 +6,10 @@ READ_REG consumes exactly one byte of the fuzz input stream, so
 logically adjacent data bytes end up scattered across the input
 whenever several peripherals are polled between data reads.
 
-There is one compiled form of a block.  The read log is derived from
-the cursor: it moves only in READ_REG, and a block's reads run in static
-order until it exits, so a block that moved the cursor by k made the
-first k of its reads.
+A block function returns the id of the next block, or a negative
+code that ends the run: -1 HALT, -2 CRASH (after setting st.crash_pc)
+and -3 INPUT_EXHAUSTED.  The trampoline maps that code to ExitReason;
+the budget is checked before each block runs.
 
 Each builtin reads at most MAX_STRLEN (128) bytes through each pointer:
 through read_target, or, at a compiled STRCMP site, by the same bounded
@@ -35,8 +35,8 @@ class ExitReason(enum.Enum):
     BUDGET_EXHAUSTED = "budget_exhausted"
 
 
-_EXIT_BY_CODE = {0: ExitReason.HALT, 1: ExitReason.CRASH,
-                 2: ExitReason.INPUT_EXHAUSTED}
+_EXIT_BY_CODE = {-1: ExitReason.HALT, -2: ExitReason.CRASH,
+                 -3: ExitReason.INPUT_EXHAUSTED}
 
 
 @dataclass
@@ -44,7 +44,6 @@ class ExecutionTrace:
     edges: set
     blocks: set
     comparisons: list
-    read_log: list | None
     exit: ExitReason
     final_cursor: int
     steps: int
@@ -96,7 +95,7 @@ def _satisfied(builtin, ret):
 
 
 class _State:
-    __slots__ = ("r", "ram", "data", "n", "cursor", "exit", "crash_pc",
+    __slots__ = ("r", "ram", "data", "n", "cursor", "crash_pc",
                  "comparisons", "hits", "overflow", "program")
 
     def __init__(self, program, data):
@@ -105,7 +104,6 @@ class _State:
         self.data = data
         self.n = len(data)
         self.cursor = 0
-        self.exit = 0
         self.crash_pc = None
         self.comparisons = []
         self.hits = {}
@@ -210,7 +208,6 @@ def _site(program, idx, builtin, a0, a1):
 @dataclass
 class _Compiled:
     fns: list            # block functions, the only compiled form
-    reads: list          # per block, the peripherals its READ_REGs name
     lens: list           # instruction count per block
     edge_ids: dict       # (prev << 16) | cur -> bitmap index
     sentinel: int        # virtual predecessor of the entry block
@@ -249,7 +246,7 @@ def _gen_block(program, bi, start, end, sites, ordinal):
             emit(f"{'el' if i else ''}if {cond}:")
             emit(f"    {stmt}")
         emit("else:")
-        emit(f"    st.exit = 1; st.crash_pc = {idx}; return -1")
+        emit(f"    st.crash_pc = {idx}; return -2")
 
     succ = set()
     fell_through = True
@@ -263,8 +260,7 @@ def _gen_block(program, bi, start, end, sites, ordinal):
             rd = ops[0][1]
             emit("c = st.cursor")
             emit("if c >= st.n:")
-            emit("    st.exit = 2")
-            emit("    return -1")
+            emit("    return -3")
             emit(f"r[{rd}] = st.data[c]")
             emit("st.cursor = c + 1")
         elif op in ("LOADI", "MOV"):
@@ -323,11 +319,10 @@ def _gen_block(program, bi, start, end, sites, ordinal):
                 a1 = _operand_expr(ops[2])
                 emit(f"r[0] = st.call({idx}, {ops[0][1]!r}, {a0}, {a1})")
         elif op == "CRASH":
-            emit(f"st.exit = 1; st.crash_pc = {idx}")
-            emit("return -1")
+            emit(f"st.crash_pc = {idx}")
+            emit("return -2")
             fell_through = False
         elif op == "HALT":
-            emit("st.exit = 0")
             emit("return -1")
             fell_through = False
         else:
@@ -368,10 +363,8 @@ def compile_program(program: TargetProgram) -> _Compiled:
         for s in succ:
             edge_ids[(bi << 16) | s] = block_edge_id(bi, s)
 
-    reads = [tuple(ins.operands[1][1] for ins in program.instructions[lo:hi]
-                   if ins.opcode == "READ_REG") for lo, hi in bounds]
     return _Compiled(fns=[glb[f"_b{bi}"] for bi in range(n_blocks)],
-                     reads=reads, lens=[hi - lo for lo, hi in bounds],
+                     lens=[hi - lo for lo, hi in bounds],
                      edge_ids=edge_ids, sentinel=sentinel)
 
 
@@ -381,32 +374,23 @@ def _get_compiled(program):
     return program._compiled
 
 
-def _logged(fn, reads, log):
-    """fn, also appending (cursor, peripheral) for each read it made."""
-    def block(st):
-        c0 = st.cursor
-        nxt = fn(st)
-        log.extend(zip(range(c0, st.cursor), reads))
-        return nxt
-    return block
-
-
 def execute(program: TargetProgram, fuzz_input: FuzzInput,
             budget: int = DEFAULT_INSTR_BUDGET, *,
-            read_log: bool = True) -> ExecutionTrace:
-    """Run the program over the input stream; pure in all three arguments."""
+            read_log: bool = False) -> ExecutionTrace:
+    """Run the program over the input stream; pure in its arguments.
+
+    read_log accepts only False; the keyword stays for callers that
+    still pass it.
+    """
     if budget <= 0:
         raise ValueError("budget must be positive")
+    if read_log:
+        raise ValueError("read_log=True is not supported")
     comp = _get_compiled(program)
     data = fuzz_input.bytes if isinstance(fuzz_input, FuzzInput) else bytes(
         fuzz_input)
     st = _State(program, data)
     fns = comp.fns
-    log = None
-    if read_log:
-        log = []
-        fns = [_logged(fn, reads, log) if reads else fn
-               for fn, reads in zip(fns, comp.reads)]
     lens = comp.lens
     # The hot loop only collects raw (prev, cur) transition keys; edge
     # hashes and the block set are derived once afterwards.
@@ -415,7 +399,6 @@ def execute(program: TargetProgram, fuzz_input: FuzzInput,
     prev = comp.sentinel
     b = 0
     steps = 0
-    exit_reason = None
     while b >= 0:
         steps += lens[b]
         if steps > budget:
@@ -424,12 +407,12 @@ def execute(program: TargetProgram, fuzz_input: FuzzInput,
         add((prev << 16) | b)
         prev = b
         b = fns[b](st)
-    if exit_reason is None:
-        exit_reason = _EXIT_BY_CODE[st.exit]
+    else:
+        exit_reason = _EXIT_BY_CODE[b]
     edge_tab = comp.edge_ids
     edges = {edge_tab[t] for t in trans}
     blocks = {t & 0xFFFF for t in trans}
     return ExecutionTrace(
         edges=edges, blocks=blocks, comparisons=st.comparisons,
-        read_log=log, exit=exit_reason, final_cursor=st.cursor,
+        exit=exit_reason, final_cursor=st.cursor,
         steps=steps, crash_pc=st.crash_pc, cmp_overflow=st.overflow)

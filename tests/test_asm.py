@@ -52,6 +52,9 @@ def test_comments_and_blank_lines():
     p = parse_scenario(text)
     assert p.rom == b"x;y\x00"
     assert len(p.instructions) == 1
+    # A string ending in an escaped backslash still closes before a comment.
+    p = parse_scenario('.rom s "a\\\\" ; note\n  HALT\n')
+    assert p.rom == b"a\\"
 
 
 def test_ram_symbol_resolution():

@@ -49,6 +49,21 @@ def test_bench_rejects_malformed_matrix(tmp_path, text):
         main(["bench", "--trials", "1", "--matrix", str(matrix)])
 
 
+@pytest.mark.parametrize("argv", [
+    ["bench", "--trials", "1", "--matrix", "{tmp}/missing.json"],
+    ["solve", "contract_ok", "{tmp}/missing.bin", "--cmp", "cmp_ok"],
+    ["report", "{tmp}"],
+])
+def test_unreadable_files_raise_config_error(tmp_path, argv):
+    """A missing or invalid file raises ConfigError naming its path."""
+    (tmp_path / "summary.json").write_text('{"executions": ')
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    with pytest.raises(ConfigError) as info:
+        main(argv)
+    path = next(a for a in argv if a.startswith(str(tmp_path)))
+    assert path in str(info.value)
+
+
 def test_bench_and_report(tmp_path, capsys):
     matrix = tmp_path / "matrix.json"
     matrix.write_text(json.dumps(

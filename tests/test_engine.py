@@ -1,5 +1,6 @@
 """Campaign loop: determinism, mutation, solver stage, crash handling."""
 
+import importlib.util
 import json
 import random
 import sys
@@ -252,3 +253,19 @@ def test_every_scenario_runs_to_budget(corpus):
                        if e.cmp_id not in stats.solved_comparisons]
             assert not missing, (label, missing)
             assert stats.solver_solved <= sites, label
+
+
+def test_campaign_digest_matches_golden():
+    """Every bundled scenario, solver on and off, seed 1, 2,000 executions,
+    digests byte for byte as tests/data/campaign_digest_2k.txt records.
+
+    A change that alters campaign behaviour on purpose regenerates it:
+    python tools/campaign_digest.py 2000 1 > tests/data/campaign_digest_2k.txt
+    """
+    root = Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location(
+        "campaign_digest", root / "tools/campaign_digest.py")
+    digest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digest)
+    golden = (root / "tests/data/campaign_digest_2k.txt").read_text()
+    assert list(digest.digest_lines(2000, (1,))) == golden.splitlines()

@@ -14,6 +14,10 @@ to keep behaviour is checked by diffing this output before and after
 it.  Run from the repository root:
 
     python tools/campaign_digest.py > digest.txt
+
+Optional arguments replace the execution count and the seeds:
+``python tools/campaign_digest.py 2000 1`` prints the 24 lines that
+tests/data/campaign_digest_2k.txt holds.
 """
 
 import dataclasses
@@ -30,8 +34,16 @@ EXECUTIONS = 20_000
 SEEDS = (1, 2, 3)
 
 
-def digest_line(scenario, solver, seed):
-    config = CampaignConfig(rng_seed=seed, max_executions=EXECUTIONS,
+def digest_lines(executions, seeds):
+    """One digest line per bundled scenario x solver on/off x seed."""
+    for scenario in load_corpus():
+        for solver in (True, False):
+            for seed in seeds:
+                yield digest_line(scenario, solver, seed, executions)
+
+
+def digest_line(scenario, solver, seed, executions):
+    config = CampaignConfig(rng_seed=seed, max_executions=executions,
                             solver_enabled=solver)
     campaign = Campaign(scenario.program, config)
     stats = campaign.run()
@@ -71,12 +83,11 @@ def crashes_digest(blobs):
     return h.hexdigest()
 
 
-def main():
-    for scenario in load_corpus():
-        for solver in (True, False):
-            for seed in SEEDS:
-                print(digest_line(scenario, solver, seed), flush=True)
+def main(argv):
+    executions, *seeds = [int(a) for a in argv] or [EXECUTIONS]
+    for line in digest_lines(executions, seeds or SEEDS):
+        print(line, flush=True)
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])
